@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p vertexica-bench --release --bin ablation -- \
-//!     [--exp union-vs-join|worker-scaling|batching|update-vs-replace|pool-size|pipeline|expr|wal|evict|shard|all]
+//!     [--exp union-vs-join|worker-scaling|batching|update-vs-replace|pool-size|expr|wal|evict|shard|all]
 //! ```
 
 use std::sync::Arc;
@@ -12,7 +12,7 @@ use vertexica_algorithms::vc::{PageRank, Sssp};
 use vertexica_bench::{figure2_dataset, fresh_session, HarnessConfig};
 use vertexica_common::timer::Stopwatch;
 use vertexica_sql::ast::BinaryOp;
-use vertexica_sql::expr::{set_vectorized_expr, PhysExpr};
+use vertexica_sql::expr::PhysExpr;
 use vertexica_sql::Database;
 use vertexica_storage::{DataType, Field, RecordBatch, Schema, Value, BLOCK_ROWS};
 
@@ -116,68 +116,15 @@ fn main() {
                 let apply: f64 = stats.per_superstep.iter().map(|s| s.apply_secs).sum();
                 let apply_par =
                     stats.per_superstep.iter().map(|s| s.apply_parallelism).max().unwrap_or(1);
-                // Ablation column: the same run with the serial one-shot SQL
-                // apply path, isolating what the segment-parallel apply
-                // saves (it also wins at pool=1 by dropping the staged
-                // LEFT JOIN rebuild and the post-commit halting scan).
-                let serial_config = config.clone().with_parallel_apply(false);
-                let serial_stats =
-                    run_program(&session, Arc::new(PageRank::new(5, 0.85)), &serial_config)
-                        .unwrap();
-                let serial_apply: f64 =
-                    serial_stats.per_superstep.iter().map(|s| s.apply_secs).sum();
                 println!(
                     "pool={pool_size:<3} {secs:.3}s  speedup×{speedup:<5.2} \
-                     apply={apply:.3}s(×{apply_par}, serial {serial_apply:.3}s) \
+                     apply={apply:.3}s(×{apply_par}) \
                      overlap={overlap:.3}s queue-wait={queue_wait:.3}s steals={steals} \
                      peak-batch={peak}B"
                 );
             }
             println!();
         }
-    }
-
-    if exp == "pipeline" || exp == "all" {
-        println!("## Pipelined supersteps: overlapped vs phased streaming (PageRank)");
-        println!("# pipelined: chunks scatter on the pool and sealed partitions compute");
-        println!("# while assemble streams; phased: scatter on the coordinator thread,");
-        println!("# then compute. The overlap column is the wall-clock time worker");
-        println!("# compute ran inside the assemble window (pipelined-only by");
-        println!("# construction); chunk-rows shrinks chunks to give the dispatcher");
-        println!("# more scatter granularity. peak-resident-scan is the most");
-        println!("# un-emitted source-scan data assemble ever held: one in-flight");
-        println!("# batch with the pull-based cursor (streamed), whole tables with");
-        println!("# the eager scan — the streaming-scan memory win, made visible.");
-        for (label, pipelined, stream_scan, chunk_rows) in [
-            ("phased", false, true, vertexica::input::STREAM_CHUNK_ROWS),
-            ("pipelined", true, true, vertexica::input::STREAM_CHUNK_ROWS),
-            ("pipelined-4k", true, true, 4096),
-            ("eager-scan", true, false, vertexica::input::STREAM_CHUNK_ROWS),
-        ] {
-            let session = fresh_session(&graph);
-            // Pin the worker count: the pipelined dataflow needs a real pool
-            // (on a 1-core host the default degrades to the sequential
-            // fallback, which by design reports zero overlap).
-            let config = VertexicaConfig::default()
-                .with_workers(4)
-                .with_pipelined(pipelined)
-                .with_streaming_scan(stream_scan)
-                .with_stream_chunk_rows(chunk_rows);
-            let sw = Stopwatch::start();
-            let stats = run_program(&session, Arc::new(PageRank::new(5, 0.85)), &config).unwrap();
-            let secs = sw.elapsed_secs();
-            let overlap: f64 = stats.per_superstep.iter().map(|s| s.overlap_secs).sum();
-            let assemble: f64 = stats.per_superstep.iter().map(|s| s.assemble_secs).sum();
-            let compute: f64 = stats.per_superstep.iter().map(|s| s.compute_secs).sum();
-            let nested: u64 = stats.per_superstep.iter().map(|s| s.nested_scopes).sum();
-            let resident =
-                stats.per_superstep.iter().map(|s| s.peak_resident_scan_bytes).max().unwrap_or(0);
-            println!(
-                "{label:<13} {secs:.3}s  assemble={assemble:.3}s compute={compute:.3}s \
-                 overlap={overlap:.3}s nested-scopes={nested} peak-resident-scan={resident}B"
-            );
-        }
-        println!();
     }
 
     if exp == "expr" || exp == "all" {
@@ -495,9 +442,10 @@ fn shard_ablation(graph: &vertexica_common::graph::EdgeList, cfg: &HarnessConfig
 fn expr_ablation(cfg: &HarnessConfig) {
     println!("## Expression kernels: vectorized vs row-at-a-time predicate eval");
     println!("# Same predicate tree, same batches; the only difference is the");
-    println!("# VERTEXICA_VECTOR_EXPR toggle. Both paths are bitwise-identical");
-    println!("# (proven by the config-matrix harness and a property test), so");
-    println!("# the delta is pure evaluation cost.");
+    println!("# entry point: `eval` (kernels, per-node row fallback) vs");
+    println!("# `eval_row_at_a_time` (row loop at every node). Both are");
+    println!("# bitwise-identical (a property test proves it), so the delta is");
+    println!("# pure evaluation cost.");
 
     // A selective filter over a mixed Int/Float batch, with enough operator
     // nodes that per-row dispatch overhead dominates the row path:
@@ -539,17 +487,23 @@ fn expr_ablation(cfg: &HarnessConfig) {
     );
     let mut timings = [0.0f64; 2];
     for (slot, vectorized) in [(0usize, true), (1usize, false)] {
-        set_vectorized_expr(vectorized);
         let sw = Stopwatch::start();
         let mut selected = 0u64;
         for _ in 0..eval_iters.max(1) {
-            let sel = predicate.eval_predicate(&batch).expect("predicate eval");
-            selected += sel.count_ones() as u64;
+            let col = if vectorized {
+                predicate.eval(&batch)
+            } else {
+                predicate.eval_row_at_a_time(&batch)
+            };
+            let col = col.expect("predicate eval");
+            let (data, valid) = (col.as_bool().expect("boolean predicate"), col.validity());
+            selected += (0..data.len())
+                .filter(|&i| data[i] && valid.is_none_or(|v| v.get(i)))
+                .count() as u64;
         }
         timings[slot] = sw.elapsed_secs();
         std::hint::black_box(selected);
     }
-    set_vectorized_expr(true);
     let (vec_secs, row_secs) = (timings[0], timings[1]);
     let speedup = row_secs.max(1e-12) / vec_secs.max(1e-12);
     println!(

@@ -41,8 +41,8 @@ pub struct HarnessConfig {
     pub scale: f64,
     pub dnf_budget: Duration,
     /// Modelled durable-commit latency for the graph-database baseline
-    /// (`VERTEXICA_GRAPHDB_COMMIT_MS`, default 0.25 ms — SSD-era fsync;
-    /// see DESIGN.md substitutions).
+    /// (`VERTEXICA_GRAPHDB_COMMIT_MS`, default 0.75 ms, which reproduces the
+    /// paper's graph-database-vs-Vertexica gap on the small graph).
     pub graphdb_commit_latency: Duration,
     pub seed: u64,
 }
@@ -65,7 +65,7 @@ impl HarnessConfig {
             .and_then(|s| s.parse().ok())
             .unwrap_or((3000.0 * scale).max(10.0));
         // 0.75 ms/commit reproduces the paper's ~54x GraphDB-vs-Vertexica
-        // gap on the small graph (see EXPERIMENTS.md calibration).
+        // gap on the small graph.
         let commit_ms = std::env::var("VERTEXICA_GRAPHDB_COMMIT_MS")
             .ok()
             .and_then(|s| s.parse().ok())

@@ -852,26 +852,42 @@ mod tests {
     fn pool_threads_are_reused_across_scopes() {
         // The defining property of the refactor: consecutive supersteps
         // (scopes) run on the same persistent threads, not fresh spawns.
-        let pool = WorkerPool::new(3);
-        let observe = |pool: &WorkerPool| -> HashSet<ThreadId> {
+        const WORKERS: usize = 3;
+        let pool = WorkerPool::new(WORKERS);
+        // One task per worker, meeting at a WORKERS-party barrier: no task
+        // can finish until every worker holds one, so the observed set is
+        // the pool's whole worker set rather than whichever threads happened
+        // to win the race for the tasks.
+        let rendezvous = |pool: &WorkerPool| -> HashSet<ThreadId> {
             let ids = Mutex::new(HashSet::new());
+            let arrived = Condvar::new();
             pool.scope(|s| {
-                for _ in 0..32 {
-                    let ids = &ids;
+                for _ in 0..WORKERS {
+                    let (ids, arrived) = (&ids, &arrived);
                     s.spawn(move || {
-                        ids.lock().insert(std::thread::current().id());
-                        // Brief yield so multiple workers participate.
-                        std::thread::yield_now();
+                        let deadline = Instant::now() + Duration::from_secs(30);
+                        let mut guard = ids.lock();
+                        guard.insert(std::thread::current().id());
+                        arrived.notify_all();
+                        while guard.len() < WORKERS {
+                            let left = deadline.saturating_duration_since(Instant::now());
+                            assert!(
+                                !left.is_zero(),
+                                "only {} workers reached the barrier",
+                                guard.len()
+                            );
+                            guard = arrived.wait_timeout(guard, left).0;
+                        }
                     });
                 }
             });
             ids.into_inner()
         };
-        let first = observe(&pool);
-        let second = observe(&pool);
-        assert!(!first.is_empty());
-        assert!(
-            second.is_subset(&first),
+        let first = rendezvous(&pool);
+        let second = rendezvous(&pool);
+        assert_eq!(first.len(), WORKERS, "scope 1 must run on every pool worker");
+        assert_eq!(
+            second, first,
             "scope 2 ran on threads outside the persistent pool: {second:?} vs {first:?}"
         );
     }

@@ -9,22 +9,18 @@
 //! tuples changed (below a threshold), in-place updates win — so the policy
 //! is threshold-based.
 //!
-//! Two implementations of the policy live here:
-//!
-//! * the **serial** path ([`apply_accumulated`]): fold every partition's
-//!   output into one [`OutputAccumulator`] and issue one-shot SQL table
-//!   replacements (stage a delta table, LEFT JOIN, swap) — the paper's
-//!   literal mechanism, kept for ablation via
-//!   [`VertexicaConfig::with_parallel_apply`]`(false)`;
-//! * the **segment-parallel** path ([`apply_parallel`], default): each
-//!   partition's output is parsed and canonicalized **on the pool worker
-//!   that finished it** ([`ParallelApply::absorb`]), the new vertex/message
-//!   tables are built as per-bucket ROS segments in parallel on the same
-//!   pool, and the commit is an atomic catalog-level contents swap
-//!   ([`vertexica_sql::Database::replace_table_segmented`]). Canonicalizing
-//!   sorts at every segment boundary keep the two paths bitwise-identical —
-//!   which `tests/cross_engine_equivalence.rs`'s config-matrix harness
-//!   proves on every vertex-centric algorithm.
+//! The policy runs **segment-parallel** ([`apply_parallel`]): each
+//! partition's output is parsed and scattered into apply buckets **on the
+//! pool worker that finished it** ([`ParallelApply::absorb`]), the new
+//! vertex/message tables are built as per-bucket ROS segments in parallel on
+//! the same pool — a replace is the LEFT-JOIN-equivalent merge of the old
+//! vertex rows with the delta, bucket by bucket — and the commit is one
+//! grouped catalog-level contents swap
+//! ([`vertexica_sql::Database::commit_tables_segmented`]). Canonicalizing
+//! sorts at every segment boundary make the result independent of partition
+//! completion order, worker count and bucket count, which
+//! `tests/cross_engine_equivalence.rs`'s determinism matrix checks bitwise
+//! on every vertex-centric algorithm.
 
 use vertexica_common::sync::Mutex;
 
@@ -32,11 +28,11 @@ use vertexica_common::hash::FxHashMap;
 use vertexica_common::pregel::{AggKind, VertexProgram};
 use vertexica_common::VertexData;
 use vertexica_storage::partition::{hash_partition, int_key_partition};
-use vertexica_storage::{RecordBatch, TableOptions, Value};
+use vertexica_storage::{RecordBatch, Value};
 
 use crate::config::VertexicaConfig;
 use crate::error::{VertexicaError, VertexicaResult};
-use crate::session::{message_batch, message_schema, vertex_schema, GraphSession};
+use crate::session::{message_batch, vertex_schema, GraphSession};
 use crate::worker::{OUT_AGGREGATE, OUT_MESSAGE, OUT_STATE};
 
 /// What a superstep did, as observed by the coordinator.
@@ -58,121 +54,74 @@ pub struct SuperstepOutcome {
     /// recombinable, the global fold must see the raw per-vertex terms.
     pub agg_partials: Vec<(String, i64, f64)>,
     /// Width of the apply fan-out: the number of segment buckets built in
-    /// parallel on the pool (1 for the serial one-shot SQL path).
+    /// parallel on the pool.
     pub apply_parallelism: usize,
 }
 
-/// Incrementally folds worker output batches into compact apply-ready form.
-///
-/// The streaming pipeline feeds each partition's output here **as the
-/// partition finishes** (from whichever pool worker ran it, behind a mutex),
-/// so raw output batches never accumulate; the materialized pipeline absorbs
-/// everything at once through [`apply_outputs`]. Either way the absorbed
-/// state is order-insensitive: [`apply_accumulated`] canonicalizes
-/// (sort-by-key) before any order-dependent fold, so streaming completion
-/// order cannot change results.
-#[derive(Debug, Default)]
-pub struct OutputAccumulator {
-    /// Parsed state rows: (vid, encoded value, halted).
-    updates: Vec<(i64, Vec<u8>, bool)>,
-    /// Parsed message rows: (recipient, sender, payload).
-    messages: Vec<(u64, u64, Vec<u8>)>,
-    /// Per-vertex aggregator partials: (name, vid, value).
-    agg_partials: Vec<(String, i64, f64)>,
-    agg_specs: FxHashMap<String, AggKind>,
-}
+/// Parsed state rows for one apply bucket: `(vid, encoded value, halted)`.
+type UpdateRows = Vec<(i64, Vec<u8>, bool)>;
+/// Parsed message rows for one apply bucket: `(recipient, sender, payload)`.
+type MessageRows = Vec<(u64, u64, Vec<u8>)>;
+/// Per-vertex aggregator partials: `(name, vid, value)`.
+type AggPartials = Vec<(String, i64, f64)>;
 
-impl OutputAccumulator {
-    /// An accumulator validating aggregator names against `program`'s specs.
-    pub fn for_program<P: VertexProgram>(program: &P) -> Self {
-        OutputAccumulator {
-            agg_specs: program
-                .aggregators()
-                .into_iter()
-                .map(|s| (s.name.to_string(), s.kind))
-                .collect(),
-            ..Default::default()
-        }
-    }
-
-    /// An empty accumulator sharing this one's aggregator specs — for
-    /// parsing a partition's output outside the shared accumulator's lock.
-    pub fn fork(&self) -> Self {
-        OutputAccumulator { agg_specs: self.agg_specs.clone(), ..Default::default() }
-    }
-
-    /// Folds another accumulator's parsed state into this one (cheap vector
-    /// appends; ordering is canonicalized later by [`apply_accumulated`]).
-    pub fn merge(&mut self, other: OutputAccumulator) {
-        self.updates.extend(other.updates);
-        self.messages.extend(other.messages);
-        self.agg_partials.extend(other.agg_partials);
-    }
-
-    /// Parses one partition's worker output batches into the accumulator.
-    /// Aggregator partials arrive tagged with their vertex id, so their
-    /// final fold order — (name, vid) — is deterministic regardless of
-    /// completion order, partitioning, or sharding. (`partition` is kept for
-    /// signature symmetry with [`ParallelApply::absorb`].)
-    pub fn absorb(&mut self, partition: usize, batches: &[RecordBatch]) -> VertexicaResult<()> {
-        let _ = partition;
-        for batch in batches {
-            for i in 0..batch.num_rows() {
-                let row = batch.row(i);
-                let kind = row[0].as_int().unwrap_or(-1);
-                match kind {
-                    OUT_STATE => {
-                        let vid = row[1].as_int().ok_or_else(|| {
-                            VertexicaError::Runtime("state row without vid".into())
-                        })?;
-                        let Value::Blob(bytes) = row[3].clone() else {
-                            return Err(VertexicaError::Runtime(
-                                "state row without payload".into(),
-                            ));
-                        };
-                        let halted = row[4].as_bool().unwrap_or(false);
-                        self.updates.push((vid, bytes, halted));
+/// Parses one partition's worker output batches into state rows, message
+/// rows and aggregator partials. Aggregator partials arrive tagged with
+/// their vertex id, so their final fold order — (name, vid) — is
+/// deterministic regardless of completion order, partitioning, or sharding.
+fn parse_outputs(
+    batches: &[RecordBatch],
+    agg_specs: &FxHashMap<String, AggKind>,
+) -> VertexicaResult<(UpdateRows, MessageRows, AggPartials)> {
+    let (mut updates, mut messages, mut agg_partials) = (Vec::new(), Vec::new(), Vec::new());
+    for batch in batches {
+        for i in 0..batch.num_rows() {
+            let row = batch.row(i);
+            let kind = row[0].as_int().unwrap_or(-1);
+            match kind {
+                OUT_STATE => {
+                    let vid = row[1]
+                        .as_int()
+                        .ok_or_else(|| VertexicaError::Runtime("state row without vid".into()))?;
+                    let Value::Blob(bytes) = row[3].clone() else {
+                        return Err(VertexicaError::Runtime("state row without payload".into()));
+                    };
+                    let halted = row[4].as_bool().unwrap_or(false);
+                    updates.push((vid, bytes, halted));
+                }
+                OUT_MESSAGE => {
+                    let to = row[1].as_int().unwrap_or(0) as u64;
+                    let from = row[2].as_int().unwrap_or(0) as u64;
+                    let Value::Blob(bytes) = row[3].clone() else {
+                        return Err(VertexicaError::Runtime("message row without payload".into()));
+                    };
+                    messages.push((to, from, bytes));
+                }
+                OUT_AGGREGATE => {
+                    let Value::Str(name) = row[5].clone() else {
+                        return Err(VertexicaError::Runtime("aggregate row without name".into()));
+                    };
+                    let vid = row[1].as_int().ok_or_else(|| {
+                        VertexicaError::Runtime("aggregate row without vid".into())
+                    })?;
+                    let v = row[6].as_float().unwrap_or(0.0);
+                    if !agg_specs.contains_key(&name) {
+                        return Err(VertexicaError::Runtime(format!("unknown aggregator {name}")));
                     }
-                    OUT_MESSAGE => {
-                        let to = row[1].as_int().unwrap_or(0) as u64;
-                        let from = row[2].as_int().unwrap_or(0) as u64;
-                        let Value::Blob(bytes) = row[3].clone() else {
-                            return Err(VertexicaError::Runtime(
-                                "message row without payload".into(),
-                            ));
-                        };
-                        self.messages.push((to, from, bytes));
-                    }
-                    OUT_AGGREGATE => {
-                        let Value::Str(name) = row[5].clone() else {
-                            return Err(VertexicaError::Runtime(
-                                "aggregate row without name".into(),
-                            ));
-                        };
-                        let vid = row[1].as_int().ok_or_else(|| {
-                            VertexicaError::Runtime("aggregate row without vid".into())
-                        })?;
-                        let v = row[6].as_float().unwrap_or(0.0);
-                        if !self.agg_specs.contains_key(&name) {
-                            return Err(VertexicaError::Runtime(format!(
-                                "unknown aggregator {name}"
-                            )));
-                        }
-                        self.agg_partials.push((name, vid, v));
-                    }
-                    other => {
-                        return Err(VertexicaError::Runtime(format!("bad output kind {other}")));
-                    }
+                    agg_partials.push((name, vid, v));
+                }
+                other => {
+                    return Err(VertexicaError::Runtime(format!("bad output kind {other}")));
                 }
             }
         }
-        Ok(())
     }
+    Ok((updates, messages, agg_partials))
 }
 
-/// Parses worker output rows and applies them to the graph's tables — the
-/// one-shot form used by the materialized pipeline and tests. Routes to the
-/// segment-parallel or serial apply path per `config.parallel_apply`.
+/// Parses worker output batches (one per partition) and applies them to the
+/// graph's tables in one call — [`ParallelApply::absorb`] for each batch,
+/// then [`apply_parallel`].
 pub fn apply_outputs<P: VertexProgram>(
     session: &GraphSession,
     program: &P,
@@ -180,27 +129,18 @@ pub fn apply_outputs<P: VertexProgram>(
     outputs: Vec<RecordBatch>,
     total_vertices: u64,
 ) -> VertexicaResult<SuperstepOutcome> {
-    if config.parallel_apply {
-        let apply = ParallelApply::for_program(program, config.num_workers.max(1));
-        for (i, batch) in outputs.iter().enumerate() {
-            apply.absorb(i, std::slice::from_ref(batch))?;
-        }
-        return apply_parallel(session, program, config, apply, total_vertices);
-    }
-    let mut acc = OutputAccumulator::for_program(program);
+    let apply = ParallelApply::for_program(program, config.num_workers.max(1));
     for (i, batch) in outputs.iter().enumerate() {
-        acc.absorb(i, std::slice::from_ref(batch))?;
+        apply.absorb(i, std::slice::from_ref(batch))?;
     }
-    apply_accumulated(session, program, config, acc, total_vertices)
+    apply_parallel(session, program, config, apply, total_vertices)
 }
 
 /// Folds message partials addressed to the same recipient with the program's
-/// combiner, preserving the serial path's exact fold order: `messages` must
-/// arrive sorted by `(recipient, sender, payload)`, and partials for one
-/// recipient are combined in that order. Both apply paths call this — the
-/// serial one over the globally sorted message vector, the parallel one per
-/// recipient-hash bucket (a restriction of the same sorted order, so every
-/// per-recipient fold sequence is identical bit for bit).
+/// combiner: `messages` must arrive sorted by `(recipient, sender, payload)`,
+/// and partials for one recipient are combined in that order. The apply
+/// calls this per recipient-hash bucket; every recipient lives in exactly
+/// one bucket, so its fold sequence is the same whatever the bucket count.
 fn combine_messages<P: VertexProgram>(
     program: &P,
     messages: Vec<(u64, u64, Vec<u8>)>,
@@ -233,88 +173,19 @@ fn combine_messages<P: VertexProgram>(
     Ok(messages)
 }
 
-/// Applies accumulated worker outputs to the graph's tables: cross-partition
-/// combine, message-table replace, update-vs-replace on the vertex table,
-/// aggregator fold, halting check.
-pub fn apply_accumulated<P: VertexProgram>(
-    session: &GraphSession,
-    program: &P,
-    config: &VertexicaConfig,
-    acc: OutputAccumulator,
-    total_vertices: u64,
-) -> VertexicaResult<SuperstepOutcome> {
-    let OutputAccumulator { mut updates, mut messages, mut agg_partials, agg_specs } = acc;
-    // Canonicalize: with streaming execution, partitions absorb in
-    // completion order; sorting makes every downstream fold (and the table
-    // contents feeding the next superstep) deterministic.
-    updates.sort();
-    messages.sort();
-    agg_partials.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
-
-    let mut agg: FxHashMap<String, (AggKind, f64)> = FxHashMap::default();
-    for (name, _, v) in &agg_partials {
-        let kind = agg_specs[name];
-        let entry = agg.entry(name.clone()).or_insert((kind, kind.identity()));
-        entry.1 = kind.combine(entry.1, *v);
-    }
-
-    // Cross-partition combine: workers pre-combined within partitions; fold
-    // partials addressed to the same recipient once more.
-    if config.use_combiner {
-        messages = combine_messages(program, messages)?;
-    }
-
-    // ---- messages: always replace (fresh table each superstep) ----
-    let num_messages = messages.len();
-    replace_messages(session, &messages)?;
-
-    // ---- vertices: update vs replace ----
-    let change_ratio =
-        if total_vertices == 0 { 0.0 } else { updates.len() as f64 / total_vertices as f64 };
-    let replaced = !updates.is_empty() && change_ratio >= config.replace_threshold;
-    let vertex_changes = updates.len();
-    if replaced {
-        replace_vertices(session, &updates)?;
-    } else if !updates.is_empty() {
-        update_vertices_in_place(session, &updates)?;
-    }
-
-    // ---- halting check ----
-    let remaining = session.db().query_int(&format!(
-        "SELECT COUNT(*) FROM {} WHERE halted = FALSE",
-        session.vertex_table()
-    ))?;
-
-    Ok(SuperstepOutcome {
-        vertex_changes,
-        messages: num_messages,
-        replaced,
-        all_halted: remaining == 0,
-        aggregates: agg.into_iter().map(|(k, (_, v))| (k, v)).collect(),
-        agg_partials,
-        apply_parallelism: 1,
-    })
-}
-
-/// Parsed state rows for one apply bucket: `(vid, encoded value, halted)`.
-type UpdateRows = Vec<(i64, Vec<u8>, bool)>;
-/// Parsed message rows for one apply bucket: `(recipient, sender, payload)`.
-type MessageRows = Vec<(u64, u64, Vec<u8>)>;
-
 /// One partition's parsed worker output, **pre-scattered into apply
-/// buckets** — the per-partition segment builder state that replaces the
-/// single [`OutputAccumulator`] drain on the parallel apply path.
+/// buckets** — the per-partition segment builder state.
 struct PartitionDelta {
     partition: usize,
     /// Updates scattered by vertex-id hash: `updates[bucket]`.
     updates: Vec<UpdateRows>,
     /// Messages scattered by recipient hash: `messages[bucket]`.
     messages: Vec<MessageRows>,
-    agg_partials: Vec<(String, i64, f64)>,
+    agg_partials: AggPartials,
     num_updates: usize,
 }
 
-/// Collector for the segment-parallel apply path.
+/// Collector for the segment-parallel apply.
 ///
 /// The streaming pipeline calls [`ParallelApply::absorb`] from whichever
 /// pool worker finished a partition: the partition's raw output batches are
@@ -348,9 +219,7 @@ impl ParallelApply {
     /// concurrently from pool workers; all the parsing and scattering
     /// happens outside the shared lock.
     pub fn absorb(&self, partition: usize, batches: &[RecordBatch]) -> VertexicaResult<()> {
-        let mut acc = OutputAccumulator { agg_specs: self.agg_specs.clone(), ..Default::default() };
-        acc.absorb(partition, batches)?;
-        let OutputAccumulator { updates, messages, agg_partials, .. } = acc;
+        let (updates, messages, agg_partials) = parse_outputs(batches, &self.agg_specs)?;
         let num_updates = updates.len();
         let mut upd_buckets: Vec<UpdateRows> = (0..self.buckets).map(|_| Vec::new()).collect();
         for u in updates {
@@ -371,52 +240,26 @@ impl ParallelApply {
     }
 }
 
-/// Builds one message-table segment batch by moving (not cloning) the
-/// bucket's payloads into column builders.
-fn message_segment(bucket: MessageRows) -> VertexicaResult<RecordBatch> {
-    let mut rec = vertexica_storage::ColumnBuilder::with_capacity(
-        vertexica_storage::DataType::Int,
-        bucket.len(),
-    );
-    let mut snd = vertexica_storage::ColumnBuilder::with_capacity(
-        vertexica_storage::DataType::Int,
-        bucket.len(),
-    );
-    let mut val = vertexica_storage::ColumnBuilder::with_capacity(
-        vertexica_storage::DataType::Blob,
-        bucket.len(),
-    );
-    for (r, s, v) in bucket {
-        rec.push_int(r as i64);
-        snd.push_int(s as i64);
-        val.push(Value::Blob(v)).map_err(VertexicaError::from)?;
-    }
-    RecordBatch::new(message_schema(), vec![rec.finish(), snd.finish(), val.finish()])
-        .map_err(VertexicaError::from)
-}
-
-/// The segment-parallel apply path: scatter per-partition deltas into
+/// The segment-parallel apply: scatter per-partition deltas into
 /// recipient/vertex-hash buckets, build each bucket's new table segment in
-/// parallel on the shared pool, and commit both tables with atomic
-/// catalog-level contents swaps.
+/// parallel on the shared pool, and commit both tables with one grouped
+/// catalog-level contents swap.
 ///
-/// Equivalence with [`apply_accumulated`] (asserted bitwise by the
-/// config-matrix harness) rests on three facts: every bucket is sorted with
-/// the same comparator the serial path uses globally (a restriction of a
-/// sorted sequence to a bucket preserves order, so per-recipient combine
-/// folds see identical sequences); updates are keyed by vertex id, which is
-/// unique, so override maps agree; and the worker's canonical total-order
-/// input sort makes downstream compute independent of physical table row
-/// order, which is the only thing that differs (bucket-major vs scan-major).
+/// Determinism rests on three facts: every bucket is sorted before any
+/// order-dependent fold (and every recipient lives in exactly one bucket,
+/// so per-recipient combine folds see the same sequence at any bucket
+/// count); updates are keyed by vertex id, which is unique, so override
+/// maps agree; and the worker's canonical total-order input sort makes
+/// downstream compute independent of physical table row order.
 ///
 /// Commit protocol: **all** segments for both tables are fully encoded
 /// first; only then are the message table and the vertex table swapped, in
-/// that order. Any error or panic during parsing, combining, or segment
-/// encoding leaves both tables untouched — there is no torn state to clean
-/// up (the crash/abort test injects a pool-task panic to prove it). The
-/// exception is the below-threshold *update* arm, which mutates the vertex
-/// table in place after the message swap and is inherently non-atomic —
-/// the same trade the serial path (and the paper) makes.
+/// one grouped commit. Any error or panic during parsing, combining, or
+/// segment encoding leaves both tables untouched — there is no torn state to
+/// clean up (the crash/abort test injects a pool-task panic to prove it).
+/// The exception is the below-threshold *update* arm, which mutates the
+/// vertex table in place after the message swap and is not atomic with it
+/// — the trade the paper's threshold policy makes.
 pub fn apply_parallel<P: VertexProgram>(
     session: &GraphSession,
     program: &P,
@@ -446,8 +289,8 @@ pub fn apply_parallel_with_extra<P: VertexProgram>(
     deltas.sort_by_key(|d| d.partition);
     let pool = session.db().runtime().clone();
 
-    // ---- aggregators: identical fold order to the serial path ----
-    let mut agg_partials: Vec<(String, i64, f64)> =
+    // ---- aggregators: folded in (name, vid) order ----
+    let mut agg_partials: AggPartials =
         deltas.iter_mut().flat_map(|d| std::mem::take(&mut d.agg_partials)).collect();
     agg_partials.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
     let mut agg: FxHashMap<String, (AggKind, f64)> = FxHashMap::default();
@@ -477,16 +320,15 @@ pub fn apply_parallel_with_extra<P: VertexProgram>(
     let msg_results: Vec<VertexicaResult<(usize, RecordBatch)>> =
         pool.map_indexed(msg_buckets, |_, parts| {
             let mut bucket: MessageRows = parts.into_iter().flatten().collect();
-            // Canonicalizing sort at the segment boundary: the bucket holds
-            // the same rows in the same relative order as the serial path's
-            // globally sorted vector restricted to this bucket, so the
-            // per-recipient combine below folds identically.
+            // Canonicalizing sort at the segment boundary: partitions land
+            // in completion order, so sort before the per-recipient combine
+            // folds.
             bucket.sort();
             if use_combiner {
                 bucket = combine_messages(program, bucket)?;
             }
             let count = bucket.len();
-            Ok((count, message_segment(bucket)?))
+            Ok((count, message_batch(bucket)?))
         });
     let mut num_messages = 0usize;
     let mut msg_batches = Vec::with_capacity(buckets);
@@ -647,63 +489,6 @@ pub fn apply_parallel_with_extra<P: VertexProgram>(
     })
 }
 
-/// Swaps in a fresh message table containing exactly this superstep's
-/// messages.
-fn replace_messages(
-    session: &GraphSession,
-    messages: &[(u64, u64, Vec<u8>)],
-) -> VertexicaResult<()> {
-    let catalog = session.db().catalog();
-    let tmp = format!("{}_message_new", session.name());
-    catalog.drop_table_if_exists(&tmp)?;
-    catalog.create_table(&tmp, message_schema(), TableOptions::default().sorted_by(vec![0]))?;
-    if !messages.is_empty() {
-        let batch = message_batch(
-            &messages.iter().map(|(a, b, c)| (*a, *b, c.clone())).collect::<Vec<_>>(),
-        )?;
-        session.db().append_batches(&tmp, &[batch])?;
-    }
-    catalog.swap(&session.message_table(), &tmp)?;
-    catalog.drop_table_if_exists(&tmp)?;
-    Ok(())
-}
-
-/// The *replace* path: stage the delta in a table, LEFT JOIN it against the
-/// old vertex table with COALESCE, and swap the result in — executed as
-/// actual SQL, exactly the paper's mechanism.
-fn replace_vertices(
-    session: &GraphSession,
-    updates: &[(i64, Vec<u8>, bool)],
-) -> VertexicaResult<()> {
-    let catalog = session.db().catalog();
-    let delta = format!("{}_vertex_delta", session.name());
-    let fresh = format!("{}_vertex_new", session.name());
-    catalog.drop_table_if_exists(&delta)?;
-    catalog.drop_table_if_exists(&fresh)?;
-
-    catalog.create_table(&delta, vertex_schema(), TableOptions::default().sorted_by(vec![0]))?;
-    let rows: Vec<Vec<Value>> = updates
-        .iter()
-        .map(|(id, bytes, halted)| {
-            vec![Value::Int(*id), Value::Blob(bytes.clone()), Value::Bool(*halted)]
-        })
-        .collect();
-    let batch = RecordBatch::from_rows(vertex_schema(), &rows)?;
-    session.db().append_batches(&delta, &[batch])?;
-
-    session.db().execute(&format!(
-        "CREATE TABLE {fresh} AS \
-         SELECT v.id AS id, COALESCE(d.value, v.value) AS value, \
-                COALESCE(d.halted, v.halted) AS halted \
-         FROM {v} v LEFT JOIN {delta} d ON v.id = d.id",
-        v = session.vertex_table(),
-    ))?;
-    catalog.swap(&session.vertex_table(), &fresh)?;
-    catalog.drop_table_if_exists(&fresh)?;
-    catalog.drop_table_if_exists(&delta)?;
-    Ok(())
-}
-
 /// The *update* path: in-place DML against the existing vertex table.
 fn update_vertices_in_place(
     session: &GraphSession,
@@ -761,9 +546,7 @@ mod tests {
         let g = GraphSession::create(db, "g").unwrap();
         g.load_edges(&EdgeList::from_pairs([(0, 1), (1, 2), (2, 0), (2, 3)])).unwrap();
         // Initialize values so the vertex table is fully formed.
-        let updates: Vec<(i64, Vec<u8>, bool)> =
-            (0..4).map(|i| (i as i64, (0.0f64).to_bytes(), false)).collect();
-        replace_vertices(&g, &updates).unwrap();
+        crate::coordinator::initialize_vertices(&g, &Noop).unwrap();
         g
     }
 
@@ -831,7 +614,7 @@ mod tests {
         let g = setup();
         let cfg = VertexicaConfig::default().with_combiner(false);
         // Pre-existing stale message must vanish.
-        let stale = message_batch(&[(0, 9, 1.0f64.to_bytes())]).unwrap();
+        let stale = message_batch(vec![(0, 9, 1.0f64.to_bytes())]).unwrap();
         g.db().append_batches(&g.message_table(), &[stale]).unwrap();
 
         let out = out_batch(vec![msg_row(2, 0, 4.5), msg_row(3, 1, 5.5)]);

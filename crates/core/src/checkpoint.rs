@@ -108,7 +108,7 @@ mod tests {
         let db = Arc::new(Database::new());
         let g = GraphSession::create(db.clone(), "g").unwrap();
         g.load_edges(&EdgeList::from_pairs([(0, 1), (1, 2)])).unwrap();
-        let msgs = message_batch(&[(1, 0, 4.25f64.to_bytes())]).unwrap();
+        let msgs = message_batch(vec![(1, 0, 4.25f64.to_bytes())]).unwrap();
         db.append_batches(&g.message_table(), &[msgs]).unwrap();
 
         let mut aggs = FxHashMap::default();

@@ -4,55 +4,46 @@
 //! implement the coordinator as a stored procedure; it runs as long as there
 //! is any message for the next superstep" (§2.2). Each superstep:
 //!
-//! 1. assemble worker input ([`crate::input`], union or join mode) — by
-//!    default **streamed** chunk-by-chunk straight into the partitioner, so
-//!    the full table union never materializes;
-//! 2. hash-partition it on vertex id (vertex batching,
-//!    [`vertexica_storage::partition::StreamingPartitioner`]);
+//! 1. assemble worker input ([`crate::input`], union or join mode),
+//!    streamed chunk-by-chunk through per-segment scan cursors so the full
+//!    table union never materializes;
+//! 2. hash-partition it on vertex id (vertex batching) with **sealed**
+//!    partitions: a key-column prescan ([`crate::input::partition_row_plan`])
+//!    tells each partition how many rows it will receive;
 //! 3. run worker UDFs in parallel, one per partition, on the **shared
 //!    runtime pool** ([`vertexica_common::runtime::WorkerPool`]) owned by
 //!    the `Database` — the same persistent threads every superstep, resized
 //!    once per run to `num_workers`, with per-worker deques and work
 //!    stealing smoothing out skewed partitions;
-//! 4. apply outputs via update-vs-replace ([`crate::apply`]) — streamed
-//!    execution folds each partition's output into the accumulator as the
-//!    partition finishes;
+//! 4. apply outputs via update-vs-replace ([`crate::apply`]): each
+//!    partition's output is parsed on the pool worker that finished it, and
+//!    the new tables are built segment-parallel and committed at once;
 //! 5. synchronization barrier, aggregator exchange, halt check.
 //!
-//! By default steps 1–3 are **fully pipelined**
-//! ([`vertexica_sql::Database::run_transform_pipelined`]): a key-column
-//! prescan ([`crate::input::partition_row_plan`]) tells each partition how
-//! many rows it will receive, assemble chunks are scattered by pool tasks,
-//! and a partition's worker UDF launches the moment its last row lands —
-//! while assemble is still streaming later chunks. The overlap actually
-//! achieved is reported per superstep as
+//! Steps 1–3 are **pipelined**
+//! ([`vertexica_sql::Database::run_transform_pipelined`]): assemble chunks
+//! are scattered by pool tasks, and a partition's worker UDF launches the
+//! moment its last row lands — while assemble is still streaming later
+//! chunks. The overlap actually achieved is reported per superstep as
 //! [`SuperstepStats::overlap_secs`].
 //!
 //! Each superstep's [`SuperstepStats`] carries the pipeline's observability:
 //! pool queue-wait, steal and nested-scope counts, compute/assemble overlap,
 //! plus peak/total in-flight input bytes.
-//! `VertexicaConfig::with_pipelined(false)` restores the phased streaming
-//! pipeline and `VertexicaConfig::with_streaming(false)` the original
-//! materialize-everything pipeline (both kept for ablations and equivalence
-//! tests).
 
 use std::sync::Arc;
-use vertexica_common::sync::Mutex;
 
 use vertexica_common::hash::FxHashMap;
 use vertexica_common::pregel::{InitContext, VertexProgram};
 use vertexica_common::timer::Stopwatch;
 use vertexica_common::VertexData;
 use vertexica_sql::TransformUdf;
-use vertexica_storage::partition::{hash_partition, StreamingPartitioner};
 use vertexica_storage::{ColumnBuilder, DataType, RecordBatch, Value};
 
-use crate::apply::{
-    apply_accumulated, apply_outputs, apply_parallel, OutputAccumulator, ParallelApply,
-};
+use crate::apply::{apply_parallel, ParallelApply};
 use crate::config::VertexicaConfig;
 use crate::error::{VertexicaError, VertexicaResult};
-use crate::input::{assemble, assemble_chunks};
+use crate::input::assemble_chunks;
 use crate::session::{vertex_schema, GraphSession};
 use crate::worker::VertexWorker;
 
@@ -69,18 +60,17 @@ pub struct SuperstepStats {
     pub replaced: bool,
     /// Wall-clock seconds assembling + partitioning worker input.
     pub assemble_secs: f64,
-    /// Wall-clock seconds running worker UDFs (streaming mode also absorbs
-    /// outputs in this window).
+    /// Wall-clock seconds running worker UDFs (each partition's output is
+    /// also parsed for apply in this window).
     pub compute_secs: f64,
     /// Wall-clock seconds applying outputs (table writes, halt check).
     pub apply_secs: f64,
     /// Width of the apply fan-out: segment buckets built in parallel on the
-    /// pool (1 when the serial one-shot SQL apply path ran).
+    /// pool (`num_workers`).
     pub apply_parallelism: usize,
     /// Seconds worker-UDF compute tasks ran **while assemble was still
     /// streaming chunks** — the overlap the pipelined dataflow exists to
-    /// create. Zero for the phased pipelines (`pipelined`/`streaming` off)
-    /// and on a single-worker pool (nothing is concurrent).
+    /// create. Zero on a single-worker pool (nothing is concurrent).
     pub overlap_secs: f64,
     /// Cumulative seconds this superstep's pool tasks spent queued before a
     /// worker picked them up (from [`vertexica_common::runtime::PoolMetrics`]).
@@ -92,24 +82,20 @@ pub struct SuperstepStats {
     /// pool), from [`vertexica_common::runtime::PoolMetrics::nested_scopes`].
     pub nested_scopes: u64,
     /// Largest single in-flight input batch, in estimated bytes. Streaming
-    /// keeps this far below [`input_bytes`](Self::input_bytes); the
-    /// materialized pipeline holds the whole input at once, so there the two
-    /// are equal.
+    /// keeps this far below [`input_bytes`](Self::input_bytes).
     pub peak_batch_bytes: usize,
     /// Total assembled worker input for this superstep, in estimated bytes.
     pub input_bytes: usize,
     /// The most un-emitted **source-scan** data assemble ever held at once,
-    /// in estimated bytes. With pull-based scan cursors (the
-    /// `streaming_scan` default) this is one in-flight batch per source —
+    /// in estimated bytes. Pull-based scan cursors hold one in-flight batch
+    /// per source (plus the hash-join build sides in 3-way-join mode) —
     /// strictly below [`input_bytes`](Self::input_bytes) on any multi-batch
-    /// input; the eager scan ablation holds whole tables, and the
-    /// materialized pipeline the whole input.
+    /// input.
     pub peak_resident_scan_bytes: usize,
     /// Compute partitions dispatched by a **seal** — their last planned row
     /// landed while assemble was still streaming — as opposed to the
-    /// end-of-stream drain. Nonzero only for the pipelined dataflow on a
-    /// multi-worker pool; with the join-mode row plan, the 3-way-join input
-    /// seals partitions too.
+    /// end-of-stream drain. Nonzero only on a multi-worker pool; with the
+    /// join-mode row plan, the 3-way-join input seals partitions too.
     pub early_dispatches: usize,
     /// Write-ahead-log records appended during this superstep (zero on a
     /// non-durable database). The grouped apply commit contributes exactly
@@ -239,10 +225,7 @@ pub fn run_program<P: VertexProgram + 'static>(
 ) -> VertexicaResult<RunStats> {
     let total = Stopwatch::start();
     // Size the shared runtime pool once for the whole run; every superstep
-    // reuses the same worker threads. Expression kernels are a process-wide
-    // switch — applying it here is safe because both paths are bitwise
-    // identical.
-    vertexica_sql::expr::set_vectorized_expr(config.vectorized_expr);
+    // reuses the same worker threads.
     session.db().runtime().resize(config.num_workers);
     // Apply the out-of-core budget before the first checkpoint: the
     // checkpoint gives every cold segment a `.vxtb` spill twin, after which
@@ -279,7 +262,6 @@ pub fn resume_program<P: VertexProgram + 'static>(
         .as_ref()
         .ok_or_else(|| VertexicaError::Checkpoint("no checkpoint_dir configured".into()))?;
     let total = Stopwatch::start();
-    vertexica_sql::expr::set_vectorized_expr(config.vectorized_expr);
     session.db().runtime().resize(config.num_workers);
     if let Some(budget) = config.memory_budget_bytes {
         session.db().catalog().buffer_pool().set_budget(Some(budget));
@@ -301,99 +283,38 @@ pub fn resume_program<P: VertexProgram + 'static>(
     Ok(stats)
 }
 
-/// Wall-clock phases and byte accounting of one superstep's
-/// assemble/partition/compute stages. In the pipelined shape
-/// `assemble_secs` and `compute_secs` overlap by construction;
-/// `overlap_secs` says by how much.
-struct ExecProfile {
-    assemble_secs: f64,
-    compute_secs: f64,
-    overlap_secs: f64,
-    input_bytes: usize,
-    peak_batch_bytes: usize,
-    peak_resident_scan_bytes: usize,
-    early_dispatches: usize,
-}
-
-/// Runs one streaming superstep's assemble → partition → compute stages,
+/// Runs one superstep's assemble → partition → compute stages as the
+/// pipelined dataflow ([`vertexica_sql::Database::run_transform_pipelined`]),
 /// delivering each partition's worker output to `sink` as the partition
-/// finishes.
-///
-/// With `config.pipelined` this is the fully overlapped dataflow
-/// ([`vertexica_sql::Database::run_transform_pipelined`]): the key-column
-/// prescan plans per-partition completion, chunks are scattered by pool
-/// tasks, and sealed partitions start computing while assemble still
-/// streams. Without it, the phased form: scatter every chunk on this
-/// thread, then compute all partitions.
+/// finishes: the key-column prescan plans per-partition completion, chunks
+/// are scattered by pool tasks, and sealed partitions start computing while
+/// assemble still streams. The report's `assemble_secs` and `compute_secs`
+/// overlap by construction; `overlap_secs` says by how much.
 fn run_streaming_compute(
     session: &GraphSession,
     config: &VertexicaConfig,
     worker: &Arc<dyn TransformUdf>,
     sink: &(dyn Fn(usize, Vec<vertexica_storage::RecordBatch>) -> vertexica_sql::SqlResult<()>
           + Sync),
-) -> VertexicaResult<ExecProfile> {
+) -> VertexicaResult<vertexica_sql::engine::PipelinedReport> {
     let num_partitions = config.num_partitions.max(1);
-    if config.pipelined {
-        let plan = crate::input::partition_row_plan(session, config.input_mode, num_partitions)?;
-        let report = session.db().run_transform_pipelined(
-            worker,
-            vec![0],
-            num_partitions,
-            plan,
-            &mut |chunk_sink| {
-                assemble_chunks(
-                    session,
-                    config.input_mode,
-                    config.stream_chunk_rows,
-                    config.streaming_scan,
-                    &mut |chunk| chunk_sink(chunk).map_err(VertexicaError::from),
-                )
-                .map_err(|e| match e {
-                    VertexicaError::Sql(e) => e,
-                    other => vertexica_sql::SqlError::Execution(other.to_string()),
-                })
-            },
-            sink,
-        )?;
-        return Ok(ExecProfile {
-            assemble_secs: report.assemble_secs,
-            compute_secs: report.compute_secs,
-            overlap_secs: report.overlap_secs,
-            input_bytes: report.input_bytes,
-            peak_batch_bytes: report.peak_chunk_bytes,
-            peak_resident_scan_bytes: report.peak_resident_scan_bytes,
-            early_dispatches: report.early_dispatches,
-        });
-    }
-    let sw = Stopwatch::start();
-    let mut partitioner = StreamingPartitioner::new(vec![0], num_partitions);
-    let mut total = 0usize;
-    let mut peak = 0usize;
-    let peak_resident_scan_bytes = assemble_chunks(
-        session,
-        config.input_mode,
-        config.stream_chunk_rows,
-        config.streaming_scan,
-        &mut |chunk| {
-            let bytes = chunk.estimated_bytes();
-            total += bytes;
-            peak = peak.max(bytes);
-            partitioner.push(&chunk).map_err(VertexicaError::from)
+    let plan = crate::input::partition_row_plan(session, config.input_mode, num_partitions)?;
+    Ok(session.db().run_transform_pipelined(
+        worker,
+        vec![0],
+        num_partitions,
+        plan,
+        &mut |chunk_sink| {
+            assemble_chunks(session, config.input_mode, config.stream_chunk_rows, &mut |chunk| {
+                chunk_sink(chunk).map_err(VertexicaError::from)
+            })
+            .map_err(|e| match e {
+                VertexicaError::Sql(e) => e,
+                other => vertexica_sql::SqlError::Execution(other.to_string()),
+            })
         },
-    )?;
-    let partitions = partitioner.finish();
-    let assemble_secs = sw.elapsed_secs();
-    let sw = Stopwatch::start();
-    session.db().run_transform_streamed(worker, partitions, sink)?;
-    Ok(ExecProfile {
-        assemble_secs,
-        compute_secs: sw.elapsed_secs(),
-        overlap_secs: 0.0,
-        input_bytes: total,
-        peak_batch_bytes: peak,
-        peak_resident_scan_bytes,
-        early_dispatches: 0,
-    })
+        sink,
+    )?)
 }
 
 fn superstep_loop<P: VertexProgram + 'static>(
@@ -427,20 +348,11 @@ fn superstep_loop<P: VertexProgram + 'static>(
             }
         }
 
-        // 1–3. Assemble, partition and compute; 4. apply. Three execution
-        // shapes share the apply sinks:
-        //
-        // * **pipelined** (default): assemble chunks are scattered by pool
-        //   tasks and each partition's worker UDF launches the moment the
-        //   partition seals — assemble and compute genuinely overlap;
-        // * **streamed** (`pipelined` off): assemble scatters into the
-        //   partitioner on this thread, then all partitions compute;
-        // * **materialized** (`streaming` off): the original
-        //   assemble-then-partition-then-compute sequence.
-        //
-        // Either way, streaming execution folds each partition's output into
-        // the apply collector the moment that partition finishes; the table
-        // writes happen once at the end.
+        // 1–3. Assemble, partition and compute (pipelined); 4. apply. Each
+        // partition's output is parsed and canonicalized on the pool worker
+        // that finished it; the final table writes are per-bucket segment
+        // builds on the same pool, committed by an atomic catalog-level
+        // contents swap.
         let pool_before = session.db().runtime().metrics();
         let dur_before = session.db().durability_stats();
         let buffer_pool = session.db().catalog().buffer_pool().clone();
@@ -454,59 +366,13 @@ fn superstep_loop<P: VertexProgram + 'static>(
             use_combiner: config.use_combiner,
             pool: Some(session.db().runtime().clone()),
         });
-        let (outcome, profile, apply_secs) = if config.streaming && config.parallel_apply {
-            // Segment-parallel apply: each partition's output is parsed and
-            // canonicalized on the pool worker that finished it; the final
-            // table writes are per-bucket segment builds on the same pool,
-            // committed by an atomic catalog-level contents swap.
-            let apply = ParallelApply::for_program(program.as_ref(), config.num_workers.max(1));
-            let profile = run_streaming_compute(session, config, &worker, &|idx, out| {
-                apply.absorb(idx, &out).map_err(|e| vertexica_sql::SqlError::Udf(e.to_string()))
-            })?;
-            let sw = Stopwatch::start();
-            let outcome = apply_parallel(session, program.as_ref(), config, apply, num_vertices)?;
-            (outcome, profile, sw.elapsed_secs())
-        } else if config.streaming {
-            let template = OutputAccumulator::for_program(program.as_ref());
-            let acc = Mutex::new(template.fork());
-            let profile = run_streaming_compute(session, config, &worker, &|idx, out| {
-                // Parse outside the shared lock (absorb clones every blob);
-                // only the cheap vector merge is serialized.
-                let mut local = template.fork();
-                local.absorb(idx, &out).map_err(|e| vertexica_sql::SqlError::Udf(e.to_string()))?;
-                acc.lock().merge(local);
-                Ok(())
-            })?;
-            let sw = Stopwatch::start();
-            let acc = acc.into_inner();
-            let outcome = apply_accumulated(session, program.as_ref(), config, acc, num_vertices)?;
-            (outcome, profile, sw.elapsed_secs())
-        } else {
-            let sw = Stopwatch::start();
-            let input = assemble(session, config.input_mode, config.streaming_scan)?;
-            let bytes: usize = input.iter().map(|b| b.estimated_bytes()).sum();
-            let partitions = if config.num_partitions <= 1 {
-                vec![input]
-            } else {
-                hash_partition(&input, &[0], config.num_partitions)?
-            };
-            let assemble_secs = sw.elapsed_secs();
-            let sw = Stopwatch::start();
-            let outputs = session.db().run_transform_partitions(&worker, partitions)?;
-            let profile = ExecProfile {
-                assemble_secs,
-                compute_secs: sw.elapsed_secs(),
-                overlap_secs: 0.0,
-                // Fully materialized: the whole input is one in-flight unit.
-                input_bytes: bytes,
-                peak_batch_bytes: bytes,
-                peak_resident_scan_bytes: bytes,
-                early_dispatches: 0,
-            };
-            let sw = Stopwatch::start();
-            let outcome = apply_outputs(session, program.as_ref(), config, outputs, num_vertices)?;
-            (outcome, profile, sw.elapsed_secs())
-        };
+        let apply = ParallelApply::for_program(program.as_ref(), config.num_workers.max(1));
+        let profile = run_streaming_compute(session, config, &worker, &|idx, out| {
+            apply.absorb(idx, &out).map_err(|e| vertexica_sql::SqlError::Udf(e.to_string()))
+        })?;
+        let sw = Stopwatch::start();
+        let outcome = apply_parallel(session, program.as_ref(), config, apply, num_vertices)?;
+        let apply_secs = sw.elapsed_secs();
         let pool_delta = session.db().runtime().metrics().delta_since(&pool_before);
         let (wal_records, wal_bytes, flush_bytes) =
             match (dur_before, session.db().durability_stats()) {
@@ -533,7 +399,7 @@ fn superstep_loop<P: VertexProgram + 'static>(
             queue_wait_secs: pool_delta.queue_wait_secs,
             steals: pool_delta.tasks_stolen,
             nested_scopes: pool_delta.nested_scopes,
-            peak_batch_bytes: profile.peak_batch_bytes,
+            peak_batch_bytes: profile.peak_chunk_bytes,
             input_bytes: profile.input_bytes,
             peak_resident_scan_bytes: profile.peak_resident_scan_bytes,
             early_dispatches: profile.early_dispatches,

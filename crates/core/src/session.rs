@@ -313,15 +313,16 @@ pub fn message_schema() -> Arc<Schema> {
     ])
 }
 
-/// Builds a message-table batch from (recipient, sender, payload) triples.
-pub fn message_batch(messages: &[(VertexId, VertexId, Vec<u8>)]) -> VertexicaResult<RecordBatch> {
+/// Builds a message-table batch from (recipient, sender, payload) triples,
+/// moving (not cloning) the payloads into the value column.
+pub fn message_batch(messages: Vec<(VertexId, VertexId, Vec<u8>)>) -> VertexicaResult<RecordBatch> {
     let mut rec = ColumnBuilder::with_capacity(DataType::Int, messages.len());
     let mut snd = ColumnBuilder::with_capacity(DataType::Int, messages.len());
     let mut val = ColumnBuilder::with_capacity(DataType::Blob, messages.len());
     for (r, s, v) in messages {
-        rec.push_int(*r as i64);
-        snd.push_int(*s as i64);
-        val.push(Value::Blob(v.clone())).map_err(VertexicaError::from)?;
+        rec.push_int(r as i64);
+        snd.push_int(s as i64);
+        val.push(Value::Blob(v)).map_err(VertexicaError::from)?;
     }
     let cols: Vec<Column> = vec![rec.finish(), snd.finish(), val.finish()];
     RecordBatch::new(message_schema(), cols).map_err(VertexicaError::from)
@@ -433,7 +434,7 @@ mod tests {
 
     #[test]
     fn message_batch_builds() {
-        let b = message_batch(&[(1, 0, vec![1, 2]), (2, 0, vec![3])]).unwrap();
+        let b = message_batch(vec![(1, 0, vec![1, 2]), (2, 0, vec![3])]).unwrap();
         assert_eq!(b.num_rows(), 2);
         assert_eq!(b.column(0).value(1), Value::Int(2));
     }

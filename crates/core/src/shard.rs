@@ -36,8 +36,8 @@
 //! `shards = 1` runs [`crate::coordinator::run_program`] on the one
 //! underlying session with the caller's exact config — byte-for-byte the
 //! single-database code path. For N ≥ 2 the coordinator coerces the config
-//! (`sharded_config`): table-union input, streaming + pipelined +
-//! parallel-apply on, and **the apply-side combiner off**. The combiner must
+//! (`sharded_config`): table-union input and **the apply-side combiner
+//! off**. The combiner must
 //! be off because it folds per recipient *within the producing shard*: a
 //! recipient fed from two shards would see `(a⊕b) ⊕ (c⊕d)` where the
 //! single-database run folds `((a⊕b)⊕c)⊕d` — bitwise-divergent for
@@ -449,8 +449,8 @@ fn replace_meta(
 /// The config an N ≥ 2 sharded run actually executes with. Coercions and
 /// why (each is proven bitwise-safe by the equivalence harness):
 ///
-/// * `input_mode = TableUnion`, `streaming`/`pipelined`/`parallel_apply` on —
-///   the sharded exchange is built into the streamed, plan-sealed producer;
+/// * `input_mode = TableUnion` — the sharded exchange is built into the
+///   streamed, plan-sealed union producer;
 /// * `use_combiner = false` — the combiner folds per recipient *within the
 ///   producing shard*, which groups non-associative f64 folds differently
 ///   than the single-database run (see the module docs); raw messages make
@@ -465,9 +465,6 @@ fn sharded_config(config: &VertexicaConfig, num_shards: usize, durable: bool) ->
     let mut c = config.clone();
     c.shards = num_shards;
     c.input_mode = InputMode::TableUnion;
-    c.streaming = true;
-    c.pipelined = true;
-    c.parallel_apply = true;
     c.use_combiner = false;
     c.durable = durable;
     if durable {
@@ -703,12 +700,8 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
             // own chunks, opportunistically drain inbound boxes so remote
             // rows keep flowing (and sealing partitions) while both sides
             // still stream.
-            let peak = assemble_chunks(
-                sess,
-                config.input_mode,
-                config.stream_chunk_rows,
-                config.streaming_scan,
-                &mut |chunk| {
+            let peak =
+                assemble_chunks(sess, config.input_mode, config.stream_chunk_rows, &mut |chunk| {
                     if exchange.aborted() {
                         return Err(VertexicaError::Runtime("sharded superstep aborted".into()));
                     }
@@ -733,12 +726,11 @@ fn run_shard_superstep<P: VertexProgram + 'static>(
                         }
                     }
                     Ok(())
-                },
-            )
-            .map_err(|e| match e {
-                VertexicaError::Sql(e) => e,
-                other => SqlError::Execution(other.to_string()),
-            })?;
+                })
+                .map_err(|e| match e {
+                    VertexicaError::Sql(e) => e,
+                    other => SqlError::Execution(other.to_string()),
+                })?;
 
             // Local EOF: everything this shard will ever route is pushed.
             for d in 0..n {
@@ -870,7 +862,6 @@ pub fn run_sharded<P: VertexProgram + 'static>(
     }
     let total = Stopwatch::start();
     let c = sharded_config(config, n, ss.db.is_durable());
-    vertexica_sql::expr::set_vectorized_expr(c.vectorized_expr);
     for sess in ss.shard_sessions() {
         sess.db().runtime().resize(c.num_workers);
         if let Some(budget) = c.memory_budget_bytes {
@@ -927,7 +918,6 @@ pub fn resume_sharded<P: VertexProgram + 'static>(
         .clone();
     let total = Stopwatch::start();
     let c = sharded_config(config, n, ss.db.is_durable());
-    vertexica_sql::expr::set_vectorized_expr(c.vectorized_expr);
     for sess in ss.shard_sessions() {
         sess.db().runtime().resize(c.num_workers);
         if let Some(budget) = c.memory_budget_bytes {
@@ -1235,7 +1225,6 @@ pub fn repair_if_needed<P: VertexProgram + 'static>(
     let num_vertices = ahead_meta.num_vertices;
 
     let c = sharded_config(config, n, true);
-    vertexica_sql::expr::set_vectorized_expr(c.vectorized_expr);
     for sess in ss.shard_sessions() {
         sess.db().runtime().resize(c.num_workers);
     }
@@ -1315,12 +1304,8 @@ fn repair_shard<P: VertexProgram + 'static>(
         parts,
         None,
         &mut |chunk_sink| {
-            let peak = assemble_chunks(
-                sess,
-                config.input_mode,
-                config.stream_chunk_rows,
-                config.streaming_scan,
-                &mut |chunk| {
+            let peak =
+                assemble_chunks(sess, config.input_mode, config.stream_chunk_rows, &mut |chunk| {
                     for (d, piece) in split_batch(&chunk, &[0], n).map_err(VertexicaError::from)? {
                         // Own rows feed the worker. Remote-owned rows in the
                         // local message table were already consumed by their
@@ -1330,12 +1315,11 @@ fn repair_shard<P: VertexProgram + 'static>(
                         }
                     }
                     Ok(())
-                },
-            )
-            .map_err(|e| match e {
-                VertexicaError::Sql(e) => e,
-                other => SqlError::Execution(other.to_string()),
-            })?;
+                })
+                .map_err(|e| match e {
+                    VertexicaError::Sql(e) => e,
+                    other => SqlError::Execution(other.to_string()),
+                })?;
             for piece in remote.take().unwrap_or_default() {
                 chunk_sink(piece)?;
             }

@@ -191,10 +191,10 @@ impl<P: VertexProgram> TransformUdf for VertexWorker<P> {
         // A mere (vid, kind) key leaves ties (a vertex's edges, its
         // messages) in input order, which silently couples compute to the
         // physical row order of the underlying tables; the segment-parallel
-        // apply path writes those tables in a different (but content-equal)
-        // order than the serial one. With a total order, any two runs that
-        // agree on partition *contents* produce bitwise-identical compute —
-        // which the config-matrix equivalence harness asserts. Rows tying on
+        // apply writes those tables bucket-major, so the order follows the
+        // worker count. With a total order, any two runs that agree on
+        // partition *contents* produce bitwise-identical compute — which the
+        // determinism matrix in the equivalence harness asserts. Rows tying on
         // every column are interchangeable, so `sort_unstable` (and any
         // run-merge order in the parallel sort) is safe.
         let tiebreak_cols = [other_col, weight_col, payload_col, halted_col];

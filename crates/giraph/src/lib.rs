@@ -11,7 +11,8 @@
 //! small graphs — the effect behind Figure 2's "Vertexica is 4× faster than
 //! Giraph on the small graph, comparable on the large ones". Those costs are
 //! modelled explicitly and configurably in [`overhead::OverheadModel`]
-//! (documented substitution — see DESIGN.md §2); `OverheadModel::none()`
+//! (a documented substitution; [`overhead`] gives the calibration against
+//! the paper's published Giraph runtimes); `OverheadModel::none()`
 //! gives the raw engine.
 
 pub mod engine;

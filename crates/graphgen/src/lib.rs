@@ -14,7 +14,7 @@
 //! * [`metadata`] — the §4 metadata schema: 24 uniform ints, 8 zipfian ints,
 //!   18 floats, 10 strings per node; weight/timestamp/type per edge;
 //! * [`snap_io`] — SNAP edge-list reading/writing so real datasets drop in;
-//! * [`stats`] — degree statistics used by tests and EXPERIMENTS.md.
+//! * [`stats`] — degree statistics used by tests.
 
 pub mod metadata;
 pub mod models;

@@ -506,10 +506,10 @@ impl Database {
     /// partition is one pool task (serial within a partition, parallel
     /// across partitions — the paper's vertex batching); the per-worker
     /// deques load-balance uneven partitions by stealing. This is the
-    /// engine's streaming execution primitive: the coordinator's superstep
-    /// loop applies worker outputs incrementally through it, and
-    /// [`run_transform_partitions`](Self::run_transform_partitions) is a
-    /// thin order-restoring wrapper over it.
+    /// engine's streaming execution primitive for pre-partitioned input:
+    /// SQL `TRANSFORM` runs through
+    /// [`run_transform_partitions`](Self::run_transform_partitions), a thin
+    /// order-restoring wrapper over it.
     ///
     /// `sink` is called once per non-empty partition with
     /// `(partition_index, output_batches)`, from whichever worker thread
@@ -597,7 +597,7 @@ impl Database {
     /// compute task from the worker it is running on** — a continuation
     /// spawn onto the same scope — so compute genuinely starts while the
     /// producer is still streaming later chunks. Partitions not covered by
-    /// a plan (`expected_rows = None`, e.g. the 3-way-join replay) are
+    /// a plan (`expected_rows = None`, e.g. the sharded crash-repair replay) are
     /// dispatched when production and scattering have both finished.
     ///
     /// `sink` has the same contract as in
@@ -1042,9 +1042,9 @@ pub struct PipelinedReport {
     pub peak_chunk_bytes: usize,
     /// Producer-reported gauge: the most un-emitted **source** data (e.g.
     /// decoded scan batches) the producer ever held at once. With pull-based
-    /// scan cursors this is one in-flight batch per source; the eager scan
-    /// path holds a whole table's batches, so the gap between the two is the
-    /// streaming-scan memory win. 0 when the producer doesn't measure.
+    /// scan cursors this is one in-flight batch per source, where an eager
+    /// scan would hold a whole table's batches. 0 when the producer doesn't
+    /// measure.
     pub peak_resident_scan_bytes: usize,
     /// Most chunks simultaneously in flight (spawned to a scatter task but
     /// not yet scattered). Bounded by the producer backpressure at

@@ -7,13 +7,13 @@
 //! slice kernels** — Int/Float arithmetic and comparisons run over raw
 //! `&[i64]`/`&[f64]` with validity-bitmap NULL handling, AND/OR/NOT run
 //! word-wise on packed [`Bitmap`]s, and IsNull/InList/CASE have dedicated
-//! columnar paths. The `Value`-per-row loop survives as the generic fallback
-//! for type combinations with no kernel, and as the whole-path ablation
-//! baseline via [`set_vectorized_expr`] / `VERTEXICA_VECTOR_EXPR=0`. Both
-//! paths are bitwise identical (property-tested in `tests/proptest_sql.rs`).
+//! columnar paths. The `Value`-per-row loop survives as the per-node fallback
+//! for type combinations with no kernel, and — through
+//! [`PhysExpr::eval_row_at_a_time`], which uses it at every node — as the
+//! oracle the kernels are checked against. Both paths are bitwise identical
+//! (property-tested in `tests/proptest_sql.rs`).
 
 use std::sync::Arc;
-use vertexica_common::sync::{AtomicU8, Ordering};
 
 use vertexica_storage::{
     Bitmap, Column, ColumnBuilder, ColumnData, DataType, RecordBatch, Schema, Value,
@@ -22,40 +22,6 @@ use vertexica_storage::{
 use crate::ast::{BinaryOp, UnaryOp};
 use crate::error::{SqlError, SqlResult};
 use crate::functions::ScalarFunction;
-
-/// Whether expression evaluation uses the typed slice kernels:
-/// 0 = uninitialized (consult `VERTEXICA_VECTOR_EXPR` on first use),
-/// 1 = vectorized, 2 = row-at-a-time fallback.
-static VECTORIZED_EXPR: AtomicU8 = AtomicU8::new(0);
-
-/// True when the vectorized expression kernels are enabled (the default).
-/// The first call consults the `VERTEXICA_VECTOR_EXPR` environment variable
-/// (`0`/`false`/`off` disable); [`set_vectorized_expr`] overrides either way.
-pub fn vectorized_expr_enabled() -> bool {
-    match VECTORIZED_EXPR.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = !matches!(
-                std::env::var("VERTEXICA_VECTOR_EXPR")
-                    .unwrap_or_default()
-                    .to_ascii_lowercase()
-                    .as_str(),
-                "0" | "false" | "off"
-            );
-            VECTORIZED_EXPR.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Switches between the vectorized kernels and the row-at-a-time fallback
-/// (process-wide; the coordinator applies `VertexicaConfig::vectorized_expr`
-/// here per run). Safe to flip at any time: the two paths produce bitwise
-/// identical columns.
-pub fn set_vectorized_expr(on: bool) {
-    VECTORIZED_EXPR.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
 
 /// A fully-resolved scalar expression.
 #[derive(Clone)]
@@ -211,8 +177,23 @@ impl PhysExpr {
         })
     }
 
-    /// Evaluates over a batch, producing one output column.
+    /// Evaluates over a batch, producing one output column. Each node runs
+    /// its typed slice kernel when one applies and falls back to the
+    /// `Value`-per-row loop otherwise.
     pub fn eval(&self, batch: &RecordBatch) -> SqlResult<Column> {
+        self.eval_with(batch, true)
+    }
+
+    /// Evaluates over a batch with the `Value`-per-row loop at every node,
+    /// never a kernel: the oracle the kernels must match bit for bit, and
+    /// the baseline of the kernel microbenchmark.
+    pub fn eval_row_at_a_time(&self, batch: &RecordBatch) -> SqlResult<Column> {
+        self.eval_with(batch, false)
+    }
+
+    /// [`eval`](Self::eval) with the kernels switched on or off for this
+    /// call (and its whole subtree) only.
+    fn eval_with(&self, batch: &RecordBatch, kernels: bool) -> SqlResult<Column> {
         let n = batch.num_rows();
         match self {
             PhysExpr::Column(i) => {
@@ -226,13 +207,13 @@ impl PhysExpr {
                 Column::repeat(dtype, v, n).map_err(Into::into)
             }
             PhysExpr::Binary { left, op, right } => {
-                let l = left.eval(batch)?;
-                let r = right.eval(batch)?;
-                eval_binary(&l, *op, &r, batch.schema())
+                let l = left.eval_with(batch, kernels)?;
+                let r = right.eval_with(batch, kernels)?;
+                eval_binary(&l, *op, &r, kernels)
             }
             PhysExpr::Unary { op, expr } => {
-                let c = expr.eval(batch)?;
-                if vectorized_expr_enabled() {
+                let c = expr.eval_with(batch, kernels)?;
+                if kernels {
                     if let Some(out) = eval_unary_vectorized(*op, &c) {
                         return Ok(out);
                     }
@@ -260,8 +241,8 @@ impl PhysExpr {
                 Ok(b.finish())
             }
             PhysExpr::IsNull { expr, negated } => {
-                let c = expr.eval(batch)?;
-                if vectorized_expr_enabled() {
+                let c = expr.eval_with(batch, kernels)?;
+                if kernels {
                     // IS [NOT] NULL reads the validity bitmap directly; the
                     // output is never null itself.
                     let data: Vec<bool> = match c.validity() {
@@ -278,10 +259,11 @@ impl PhysExpr {
                 Ok(b.finish())
             }
             PhysExpr::InList { expr, list, negated } => {
-                let c = expr.eval(batch)?;
-                let lists: SqlResult<Vec<Column>> = list.iter().map(|e| e.eval(batch)).collect();
+                let c = expr.eval_with(batch, kernels)?;
+                let lists: SqlResult<Vec<Column>> =
+                    list.iter().map(|e| e.eval_with(batch, kernels)).collect();
                 let lists = lists?;
-                if vectorized_expr_enabled() {
+                if kernels {
                     return Ok(eval_in_list_vectorized(&c, &lists, *negated));
                 }
                 let mut b = ColumnBuilder::with_capacity(DataType::Bool, n);
@@ -315,8 +297,8 @@ impl PhysExpr {
                 Ok(b.finish())
             }
             PhysExpr::Like { expr, pattern, negated } => {
-                let c = expr.eval(batch)?;
-                let p = pattern.eval(batch)?;
+                let c = expr.eval_with(batch, kernels)?;
+                let p = pattern.eval_with(batch, kernels)?;
                 let mut b = ColumnBuilder::with_capacity(DataType::Bool, n);
                 for i in 0..n {
                     if c.is_null(i) || p.is_null(i) {
@@ -334,13 +316,14 @@ impl PhysExpr {
             PhysExpr::Case { when_then, else_expr } => {
                 let out_type = self.data_type(batch.schema())?;
                 let whens: SqlResult<Vec<Column>> =
-                    when_then.iter().map(|(w, _)| w.eval(batch)).collect();
+                    when_then.iter().map(|(w, _)| w.eval_with(batch, kernels)).collect();
                 let whens = whens?;
                 let thens: SqlResult<Vec<Column>> =
-                    when_then.iter().map(|(_, t)| t.eval(batch)).collect();
+                    when_then.iter().map(|(_, t)| t.eval_with(batch, kernels)).collect();
                 let thens = thens?;
-                let else_col = else_expr.as_ref().map(|e| e.eval(batch)).transpose()?;
-                if vectorized_expr_enabled() {
+                let else_col =
+                    else_expr.as_ref().map(|e| e.eval_with(batch, kernels)).transpose()?;
+                if kernels {
                     if let Some(out) =
                         eval_case_vectorized(out_type, &whens, &thens, else_col.as_ref(), n)?
                     {
@@ -363,7 +346,7 @@ impl PhysExpr {
                 Ok(b.finish())
             }
             PhysExpr::Cast { expr, dtype } => {
-                let c = expr.eval(batch)?;
+                let c = expr.eval_with(batch, kernels)?;
                 let mut b = ColumnBuilder::with_capacity(*dtype, n);
                 for i in 0..n {
                     let v = c.value(i);
@@ -373,7 +356,8 @@ impl PhysExpr {
                 Ok(b.finish())
             }
             PhysExpr::ScalarFn { func, args } => {
-                let arg_cols: SqlResult<Vec<Column>> = args.iter().map(|a| a.eval(batch)).collect();
+                let arg_cols: SqlResult<Vec<Column>> =
+                    args.iter().map(|a| a.eval_with(batch, kernels)).collect();
                 let arg_cols = arg_cols?;
                 let arg_types: Vec<DataType> = arg_cols.iter().map(|c| c.dtype()).collect();
                 let out_type = (func.return_type)(&arg_types)?;
@@ -565,11 +549,11 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
     rec(&s, &p)
 }
 
-fn eval_binary(l: &Column, op: BinaryOp, r: &Column, _schema: &Schema) -> SqlResult<Column> {
+fn eval_binary(l: &Column, op: BinaryOp, r: &Column, kernels: bool) -> SqlResult<Column> {
     let n = l.len();
     debug_assert_eq!(n, r.len());
 
-    if vectorized_expr_enabled() {
+    if kernels {
         if let Some(out) = eval_binary_vectorized(l, op, r)? {
             return Ok(out);
         }
@@ -1311,11 +1295,8 @@ mod tests {
     /// Evaluates `e` with kernels on and off and asserts the outputs are
     /// bitwise identical (dtype, values, and validity placement).
     fn assert_paths_agree(e: &PhysExpr, b: &RecordBatch) {
-        set_vectorized_expr(true);
         let fast = e.eval(b).unwrap();
-        set_vectorized_expr(false);
-        let slow = e.eval(b).unwrap();
-        set_vectorized_expr(true);
+        let slow = e.eval_row_at_a_time(b).unwrap();
         assert_eq!(fast.dtype(), slow.dtype());
         assert_eq!(fast.len(), slow.len());
         for i in 0..fast.len() {

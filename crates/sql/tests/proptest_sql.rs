@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use vertexica_sql::ast::{BinaryOp, UnaryOp};
-use vertexica_sql::expr::{set_vectorized_expr, PhysExpr};
+use vertexica_sql::expr::PhysExpr;
 use vertexica_sql::Database;
 use vertexica_storage::{DataType, Field, RecordBatch, Schema, Value};
 
@@ -132,11 +132,8 @@ proptest! {
         let batch = RecordBatch::from_rows(schema, &rows).unwrap();
         let expr = build_expr(&bytes);
 
-        set_vectorized_expr(true);
         let fast = expr.eval(&batch);
-        set_vectorized_expr(false);
-        let slow = expr.eval(&batch);
-        set_vectorized_expr(true);
+        let slow = expr.eval_row_at_a_time(&batch);
 
         match (fast, slow) {
             (Ok(fast), Ok(slow)) => {

@@ -162,25 +162,17 @@ fn connected_components_agree() {
 
 #[test]
 fn every_vertexica_configuration_agrees() {
-    // All four §2.3 optimizations toggled, on both pipelines — results must
-    // never change.
+    // All §2.3 optimizations toggled — results must never change.
     let graph = rmat_graph(&RmatConfig { scale: 6, num_edges: 300, seed: 4, ..Default::default() });
     let expected = reference::pagerank(&graph, 6, 0.85);
     let configs = vec![
         VertexicaConfig::default(),
-        VertexicaConfig::default().with_streaming(false),
-        VertexicaConfig::default().with_streaming_scan(false),
         VertexicaConfig::default().with_input_mode(InputMode::ThreeWayJoin),
-        VertexicaConfig::default().with_input_mode(InputMode::ThreeWayJoin).with_streaming(false),
-        VertexicaConfig::default()
-            .with_input_mode(InputMode::ThreeWayJoin)
-            .with_streaming_scan(false),
         VertexicaConfig::default().with_workers(1).with_partitions(1),
         VertexicaConfig::default().with_workers(8).with_partitions(64),
         VertexicaConfig::default().with_replace_threshold(0.0),
         VertexicaConfig::default().with_replace_threshold(1.01),
         VertexicaConfig::default().with_combiner(false),
-        VertexicaConfig::default().with_combiner(false).with_streaming(false),
     ];
     for (ci, config) in configs.into_iter().enumerate() {
         let session = session_for(&graph);
@@ -190,47 +182,6 @@ fn every_vertexica_configuration_agrees() {
             assert!((rank - expected[id as usize]).abs() < 1e-9, "config {ci} vertex {id}");
         }
     }
-}
-
-/// Runs `program` under the streaming and the materialized pipeline on the
-/// same graph and requires **bitwise-identical** vertex values: the
-/// streaming refactor canonicalizes apply order, so not even float
-/// summation order may differ between the two paths.
-fn assert_streaming_matches_materialized<P, V>(graph: &EdgeList, make_program: impl Fn() -> P)
-where
-    P: vertexica_common::VertexProgram<Value = V> + 'static,
-    V: vertexica_common::VertexData + Send + PartialEq + std::fmt::Debug,
-{
-    for (workers, partitions) in [(4, 16), (2, 3), (1, 1)] {
-        let base = VertexicaConfig::default().with_workers(workers).with_partitions(partitions);
-
-        let streaming_session = session_for(graph);
-        run_program(&streaming_session, Arc::new(make_program()), &base.clone()).unwrap();
-        let streamed: Vec<(VertexId, V)> = streaming_session.vertex_values().unwrap();
-
-        let materialized_session = session_for(graph);
-        run_program(&materialized_session, Arc::new(make_program()), &base.with_streaming(false))
-            .unwrap();
-        let materialized: Vec<(VertexId, V)> = materialized_session.vertex_values().unwrap();
-
-        assert_eq!(
-            streamed, materialized,
-            "streaming and materialized pipelines diverged \
-             (workers={workers}, partitions={partitions})"
-        );
-    }
-}
-
-#[test]
-fn streaming_matches_materialized_on_every_algorithm() {
-    use vertexica_algorithms::vc::{LabelPropagation, RandomWalkWithRestart};
-    let graph =
-        rmat_graph(&RmatConfig { scale: 6, num_edges: 400, seed: 11, ..Default::default() });
-    assert_streaming_matches_materialized(&graph, || PageRank::new(6, 0.85));
-    assert_streaming_matches_materialized(&graph, || Sssp::new(0));
-    assert_streaming_matches_materialized(&graph.undirected(), || ConnectedComponents);
-    assert_streaming_matches_materialized(&graph, || RandomWalkWithRestart::new(0, 10));
-    assert_streaming_matches_materialized(&graph.undirected(), || LabelPropagation::new(6));
 }
 
 /// Physical image of every table — the bitwise recovery comparator.
@@ -265,9 +216,8 @@ where
         stats.per_superstep.iter().any(|s| s.wal_records > 0 && s.wal_bytes > 0),
         "{tag}: durable run must report WAL activity in the superstep gauges"
     );
-    // The grouped apply commit flushes per superstep; the serial ablation
-    // path flushes at the run-boundary checkpoints — either way the
-    // cumulative counter must show flushed table images.
+    // The grouped apply commit flushes the swapped tables' images every
+    // superstep.
     assert!(
         db.durability_stats().unwrap().flush_bytes > 0,
         "{tag}: a durable run must flush table images"
@@ -333,19 +283,12 @@ fn streaming_stats_report_bounded_peak_bytes() {
     // table, which the apply path writes as several bucket segments — the
     // shape where pulling one segment at a time visibly beats holding the
     // whole table.
-    // (workers and parallel apply pinned: the bucket fan-out — and so the
-    // message table's segment count — follows num_workers under the
-    // segment-parallel apply path; the defaults track the host's core count
-    // and the CI ablation env.)
-    let base =
-        VertexicaConfig::default().with_combiner(false).with_workers(4).with_parallel_apply(true);
+    // (workers pinned: the bucket fan-out — and so the message table's
+    // segment count — follows num_workers; the default tracks the host's
+    // core count.)
+    let config = VertexicaConfig::default().with_combiner(false).with_workers(4);
     let session = session_for(&graph);
-    let stats = run_program(
-        &session,
-        Arc::new(PageRank::new(5, 0.85)),
-        &base.clone().with_streaming_scan(true),
-    )
-    .unwrap();
+    let stats = run_program(&session, Arc::new(PageRank::new(5, 0.85)), &config).unwrap();
     assert!(stats.supersteps >= 2);
     for s in &stats.per_superstep {
         assert!(s.input_bytes > 0, "superstep {} reported no input", s.superstep);
@@ -366,37 +309,6 @@ fn streaming_stats_report_bounded_peak_bytes() {
             s.input_bytes
         );
         assert!(s.queue_wait_secs >= 0.0);
-    }
-    let streamed_resident: usize =
-        stats.per_superstep.iter().map(|s| s.peak_resident_scan_bytes).sum();
-
-    // Same run through the eager scan ablation: whole tables are resident,
-    // so the gauge must come out strictly higher (from superstep 1 on, the
-    // apply path writes the message table as several bucket segments — the
-    // cursor holds one of them, the eager scan all of them).
-    let session = session_for(&graph);
-    let eager_stats =
-        run_program(&session, Arc::new(PageRank::new(5, 0.85)), &base.with_streaming_scan(false))
-            .unwrap();
-    let eager_resident: usize =
-        eager_stats.per_superstep.iter().map(|s| s.peak_resident_scan_bytes).sum();
-    assert!(
-        streamed_resident < eager_resident,
-        "pull-based scans should shrink the resident footprint: \
-         streamed {streamed_resident} vs eager {eager_resident}"
-    );
-
-    // The materialized pipeline, by definition, holds the whole input.
-    let session = session_for(&graph);
-    let stats = run_program(
-        &session,
-        Arc::new(PageRank::new(5, 0.85)),
-        &VertexicaConfig::default().with_streaming(false),
-    )
-    .unwrap();
-    for s in &stats.per_superstep {
-        assert_eq!(s.peak_batch_bytes, s.input_bytes);
-        assert_eq!(s.peak_resident_scan_bytes, s.input_bytes);
     }
 }
 
@@ -438,9 +350,8 @@ fn message_table_bits(session: &GraphSession) -> Vec<(i64, Option<i64>, Option<V
     rows
 }
 
-/// Everything one configuration cell produced that must be invariant across
-/// the {streaming} × {parallel apply} × {pipelined} × {streaming scan} ×
-/// {vectorized expr} matrix.
+/// Everything one run produced that must be invariant across the
+/// determinism matrix (and across shard counts).
 #[derive(PartialEq, Debug)]
 struct CellResult {
     vertex_bits: Vec<(i64, Option<Vec<u8>>, Option<bool>)>,
@@ -449,15 +360,12 @@ struct CellResult {
     per_superstep: Vec<(usize, usize, bool)>, // (messages, vertex_changes, replaced)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_cell<P, F>(
     graph: &EdgeList,
     make_program: F,
-    streaming: bool,
-    parallel: bool,
-    pipelined: bool,
-    stream_scan: bool,
-    vector_expr: bool,
+    workers: usize,
+    partitions: usize,
+    combiner: bool,
     cap: u64,
 ) -> CellResult
 where
@@ -465,33 +373,16 @@ where
     F: Fn() -> P,
 {
     let config = VertexicaConfig::default()
-        .with_workers(4)
-        .with_partitions(16)
-        .with_streaming(streaming)
-        .with_parallel_apply(parallel)
-        .with_pipelined(pipelined)
-        .with_streaming_scan(stream_scan)
-        .with_vectorized_expr(vector_expr)
+        .with_workers(workers)
+        .with_partitions(partitions)
+        .with_combiner(combiner)
         .with_max_supersteps(cap);
     let session = session_for(graph);
     let stats = run_program(&session, Arc::new(make_program()), &config).unwrap();
-    // The segment-parallel cells must actually have fanned the apply out,
-    // and the serial cells must not; overlap can only come from the
-    // pipelined streaming dataflow.
     for s in &stats.per_superstep {
-        if parallel {
-            assert_eq!(s.apply_parallelism, 4, "parallel apply should span num_workers buckets");
-        } else {
-            assert_eq!(s.apply_parallelism, 1, "serial apply must not fan out");
-        }
-        if !(streaming && pipelined) {
-            assert_eq!(s.overlap_secs, 0.0, "phased pipelines must report zero overlap");
-        }
-        if !streaming {
-            // The materialized pipeline holds the whole input by definition.
-            assert_eq!(s.peak_resident_scan_bytes, s.input_bytes);
-        } else if s.input_bytes > 0 {
-            assert!(s.peak_resident_scan_bytes > 0, "streaming cells must report the scan gauge");
+        assert_eq!(s.apply_parallelism, workers, "apply should span num_workers buckets");
+        if s.input_bytes > 0 {
+            assert!(s.peak_resident_scan_bytes > 0, "every superstep must report the scan gauge");
         }
     }
     CellResult {
@@ -506,74 +397,83 @@ where
     }
 }
 
-/// The config-matrix equivalence harness: every vertex-centric algorithm,
-/// run under all thirty-two {streaming} × {parallel apply} × {pipelined} ×
-/// {streaming scan} × {vectorized expr} cells, must produce
-/// **bitwise-identical** vertex tables, message tables and message counts.
-/// Two runs stop mid-algorithm (superstep cap) so the message table is
-/// non-empty and mid-flight state is compared too.
+/// The determinism matrix: every vertex-centric algorithm must produce
+/// **bitwise-identical** vertex tables, message tables, message counts and
+/// per-superstep outcomes
+///
+/// * across `num_workers ∈ {1, 2, 4}` at 16 partitions, with the combiner
+///   on and off — the worker count sets the pool size, the apply bucket
+///   count and the scatter/compute interleaving, none of which may leak
+///   into results;
+/// * across `(workers, partitions) ∈ {(4, 16), (2, 3), (1, 1)}` with the
+///   combiner off.
+///
+/// Not asserted: partition counts with the combiner **on**. Workers
+/// pre-combine messages within their partition, so PageRank's and RWR's f64
+/// sums group differently at different partition counts (equal within
+/// rounding, not bitwise). Two runs stop mid-algorithm (superstep cap) so
+/// the message table is non-empty and mid-flight state is compared too.
 #[test]
-fn config_matrix_streaming_x_parallel_apply_x_pipelined_x_scan_x_expr_is_bitwise_identical() {
+fn determinism_matrix_across_workers_partitions_and_combiner_is_bitwise_identical() {
     use vertexica_algorithms::vc::{LabelPropagation, RandomWalkWithRestart};
     let graph =
         rmat_graph(&RmatConfig { scale: 6, num_edges: 400, seed: 17, ..Default::default() });
     let undirected = graph.undirected();
 
-    // (name, cap, runner): each runner executes one cell for its algorithm.
-    type Cell = Box<dyn Fn(bool, bool, bool, bool, bool) -> CellResult>;
+    // (name, runner): each runner executes one (workers, partitions,
+    // combiner) cell for its algorithm.
+    type Cell = Box<dyn Fn(usize, usize, bool) -> CellResult>;
     let algorithms: Vec<(&str, Cell)> = vec![
         ("pagerank", {
             let g = graph.clone();
-            Box::new(move |s, p, l, c, v| {
-                run_cell(&g, || PageRank::new(6, 0.85), s, p, l, c, v, 10_000)
-            })
+            Box::new(move |w, p, c| run_cell(&g, || PageRank::new(6, 0.85), w, p, c, 10_000))
         }),
         ("pagerank-midflight", {
             let g = graph.clone();
-            Box::new(move |s, p, l, c, v| run_cell(&g, || PageRank::new(6, 0.85), s, p, l, c, v, 3))
+            Box::new(move |w, p, c| run_cell(&g, || PageRank::new(6, 0.85), w, p, c, 3))
         }),
         ("sssp", {
             let g = graph.clone();
-            Box::new(move |s, p, l, c, v| run_cell(&g, || Sssp::new(0), s, p, l, c, v, 10_000))
+            Box::new(move |w, p, c| run_cell(&g, || Sssp::new(0), w, p, c, 10_000))
         }),
         ("connected-components", {
             let g = undirected.clone();
-            Box::new(move |s, p, l, c, v| {
-                run_cell(&g, || ConnectedComponents, s, p, l, c, v, 10_000)
-            })
+            Box::new(move |w, p, c| run_cell(&g, || ConnectedComponents, w, p, c, 10_000))
         }),
         ("cc-midflight", {
             let g = undirected.clone();
-            Box::new(move |s, p, l, c, v| run_cell(&g, || ConnectedComponents, s, p, l, c, v, 2))
+            Box::new(move |w, p, c| run_cell(&g, || ConnectedComponents, w, p, c, 2))
         }),
         ("random-walk-with-restart", {
             let g = graph.clone();
-            Box::new(move |s, p, l, c, v| {
-                run_cell(&g, || RandomWalkWithRestart::new(0, 8), s, p, l, c, v, 10_000)
+            Box::new(move |w, p, c| {
+                run_cell(&g, || RandomWalkWithRestart::new(0, 8), w, p, c, 10_000)
             })
         }),
         ("label-propagation", {
             let g = undirected.clone();
-            Box::new(move |s, p, l, c, v| {
-                run_cell(&g, || LabelPropagation::new(6), s, p, l, c, v, 10_000)
-            })
+            Box::new(move |w, p, c| run_cell(&g, || LabelPropagation::new(6), w, p, c, 10_000))
         }),
     ];
 
     for (name, cell) in &algorithms {
-        let reference = cell(true, true, true, true, true);
-        assert!(!reference.vertex_bits.is_empty(), "{name}: empty vertex table");
-        for bits in 0..31u8 {
-            // The remaining thirty-one cells of the hypercube.
-            let (streaming, parallel, pipelined, stream_scan, vector_expr) =
-                (bits & 16 != 0, bits & 8 != 0, bits & 4 != 0, bits & 2 != 0, bits & 1 != 0);
-            let other = cell(streaming, parallel, pipelined, stream_scan, vector_expr);
-            assert_eq!(
-                reference, other,
-                "{name}: cell (streaming={streaming}, parallel_apply={parallel}, \
-                 pipelined={pipelined}, streaming_scan={stream_scan}, \
-                 vectorized_expr={vector_expr}) diverged from the all-true reference"
-            );
+        for combiner in [true, false] {
+            let reference = cell(4, 16, combiner);
+            assert!(!reference.vertex_bits.is_empty(), "{name}: empty vertex table");
+            // Worker axis at 16 partitions; partition axis only without the
+            // combiner.
+            let mut others = vec![(2, 16), (1, 16)];
+            if !combiner {
+                others.extend([(2, 3), (1, 1)]);
+            }
+            for (workers, partitions) in others {
+                assert_eq!(
+                    reference,
+                    cell(workers, partitions, combiner),
+                    "{name}: (workers={workers}, partitions={partitions}, combiner={combiner}) \
+                     diverged from (4, 16)"
+                );
+            }
         }
     }
 }
@@ -730,17 +630,14 @@ fn over_budget_pagerank_completes_with_bounded_residency() {
 
 /// Sealed join partitions: with the join-mode row plan, the 3-way-join
 /// input's partitions seal the moment their last planned row lands, so the
-/// pipelined dataflow dispatches compute early — the pre-cursor
-/// implementation kept every join partition open until end-of-stream
-/// (`early_dispatches` was structurally 0 in join mode).
+/// pipelined dataflow dispatches compute early instead of keeping every join
+/// partition open until end-of-stream.
 #[test]
 fn join_mode_seals_partitions_and_dispatches_early() {
     let graph = erdos_renyi(300, 2400, 13);
     let config = VertexicaConfig::default()
         .with_workers(4)
         .with_partitions(8)
-        .with_pipelined(true)
-        .with_streaming_scan(true)
         .with_input_mode(InputMode::ThreeWayJoin)
         .with_stream_chunk_rows(128);
     let session = session_for(&graph);
@@ -762,16 +659,13 @@ fn join_mode_seals_partitions_and_dispatches_early() {
 
 /// The pipelined dataflow must *actually* overlap: on a dense superstep
 /// with many small chunks, at least one worker-UDF compute task has to
-/// start (and run) while assemble is still streaming — and the phased
-/// pipeline on the same workload must report exactly zero overlap.
+/// start (and run) while assemble is still streaming.
 #[test]
 fn dense_supersteps_report_genuine_compute_assemble_overlap() {
     let graph = erdos_renyi(1200, 9600, 21);
     let config = VertexicaConfig::default()
         .with_workers(4)
         .with_partitions(8)
-        .with_parallel_apply(true)
-        .with_pipelined(true)
         // Small chunks give the dispatcher real scatter granularity, so
         // partitions seal (and compute) while later chunks still stream.
         .with_stream_chunk_rows(128);
@@ -784,18 +678,6 @@ fn dense_supersteps_report_genuine_compute_assemble_overlap() {
         "pipelined dense supersteps should start compute before assemble finishes: {:?}",
         stats.per_superstep.iter().map(|s| s.overlap_secs).collect::<Vec<_>>()
     );
-
-    // Same workload, phased pipeline: zero overlap by construction.
-    let session = session_for(&graph);
-    let stats = run_program(
-        &session,
-        Arc::new(PageRank::new(4, 0.85)),
-        &config.clone().with_pipelined(false),
-    )
-    .unwrap();
-    for s in &stats.per_superstep {
-        assert_eq!(s.overlap_secs, 0.0);
-    }
 }
 
 #[test]
