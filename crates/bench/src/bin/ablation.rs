@@ -199,7 +199,7 @@ fn wal_ablation(graph: &vertexica_common::graph::EdgeList, cfg: &HarnessConfig) 
         } else {
             (fresh_session(graph), None)
         };
-        let config = VertexicaConfig::default().with_durable(durable);
+        let config = VertexicaConfig::default();
         let sw = Stopwatch::start();
         let stats = run_program(&session, Arc::new(PageRank::new(5, 0.85)), &config).unwrap();
         let secs = sw.elapsed_secs();
@@ -300,7 +300,7 @@ fn evict_ablation(graph: &vertexica_common::graph::EdgeList, cfg: &HarnessConfig
             footprint = db.catalog().buffer_pool().stats().resident_bytes as usize;
         }
         let budget = fraction.map(|f| ((footprint as f64) * f) as usize);
-        let config = VertexicaConfig::default().with_durable(true).with_memory_budget(budget);
+        let config = VertexicaConfig::default().with_memory_budget(budget);
         if budget.is_none() {
             db.catalog().buffer_pool().set_budget(None);
         }

@@ -15,8 +15,10 @@
 //! vertex/message tables are built as per-bucket ROS segments in parallel on
 //! the same pool — a replace is the LEFT-JOIN-equivalent merge of the old
 //! vertex rows with the delta, bucket by bucket — and the commit is one
-//! grouped catalog-level contents swap
-//! ([`vertexica_sql::Database::commit_tables_segmented`]). Canonicalizing
+//! grouped catalog commit
+//! ([`vertexica_sql::Database::commit_tables_segmented`]) whichever arm
+//! runs: the message swap, the vertex swap *or* the in-place vertex updates,
+//! and the coordinator's superstep stamp all land together. Canonicalizing
 //! sorts at every segment boundary make the result independent of partition
 //! completion order, worker count and bucket count, which
 //! `tests/cross_engine_equivalence.rs`'s determinism matrix checks bitwise
@@ -46,10 +48,8 @@ pub struct SuperstepOutcome {
     pub replaced: bool,
     /// Whether every vertex has voted to halt.
     pub all_halted: bool,
-    /// Merged aggregator values for the next superstep.
-    pub aggregates: FxHashMap<String, f64>,
     /// Per-vertex aggregator partials `(name, vid, value)`, sorted by
-    /// (name, vid). The sharded coordinator folds the merge of every shard's
+    /// (name, vid). The coordinator folds the merge of every shard's
     /// partials in this order — per-shard folded f64 sums are not bitwise
     /// recombinable, the global fold must see the raw per-vertex terms.
     pub agg_partials: Vec<(String, i64, f64)>,
@@ -121,19 +121,19 @@ fn parse_outputs(
 
 /// Parses worker output batches (one per partition) and applies them to the
 /// graph's tables in one call — [`ParallelApply::absorb`] for each batch,
-/// then [`apply_parallel`].
+/// then [`apply_parallel`] with nothing else in the commit.
 pub fn apply_outputs<P: VertexProgram>(
     session: &GraphSession,
     program: &P,
     config: &VertexicaConfig,
     outputs: Vec<RecordBatch>,
-    total_vertices: u64,
+    local_vertices: u64,
 ) -> VertexicaResult<SuperstepOutcome> {
     let apply = ParallelApply::for_program(program, config.num_workers.max(1));
     for (i, batch) in outputs.iter().enumerate() {
         apply.absorb(i, std::slice::from_ref(batch))?;
     }
-    apply_parallel(session, program, config, apply, total_vertices)
+    apply_parallel(session, program, config, apply, local_vertices, |_| Ok(Vec::new()))
 }
 
 /// Folds message partials addressed to the same recipient with the program's
@@ -242,8 +242,15 @@ impl ParallelApply {
 
 /// The segment-parallel apply: scatter per-partition deltas into
 /// recipient/vertex-hash buckets, build each bucket's new table segment in
-/// parallel on the shared pool, and commit both tables with one grouped
-/// catalog-level contents swap.
+/// parallel on the shared pool, and commit everything with one grouped
+/// catalog commit.
+///
+/// `local_vertices` is the vertex count of *this* session's table — the
+/// update-vs-replace ratio's denominator (on a shard, its own slice, not the
+/// global count). `extra_commit` receives the superstep's sorted aggregator
+/// partials and returns further pre-encoded table groups to ride the same
+/// commit: the coordinator's superstep stamp and, on a durable sharded run,
+/// the retained message input.
 ///
 /// Determinism rests on three facts: every bucket is sorted before any
 /// order-dependent fold (and every recipient lives in exactly one bucket,
@@ -252,58 +259,38 @@ impl ParallelApply {
 /// maps agree; and the worker's canonical total-order input sort makes
 /// downstream compute independent of physical table row order.
 ///
-/// Commit protocol: **all** segments for both tables are fully encoded
-/// first; only then are the message table and the vertex table swapped, in
-/// one grouped commit. Any error or panic during parsing, combining, or
-/// segment encoding leaves both tables untouched — there is no torn state to
-/// clean up (the crash/abort test injects a pool-task panic to prove it).
-/// The exception is the below-threshold *update* arm, which mutates the
-/// vertex table in place after the message swap and is not atomic with it
-/// — the trade the paper's threshold policy makes.
+/// Commit protocol: **all** segments and in-place row updates are fully
+/// built first; only then does one grouped commit swap the message table,
+/// the vertex table (replace arm) or rewrite the changed vertex rows in
+/// place (update arm), and the extra groups. On a durable database that is
+/// one WAL commit record whichever arm runs, so recovery lands on a
+/// superstep boundary. Any error or panic before the commit leaves every
+/// table untouched — there is no torn state to clean up (the crash/abort
+/// test injects a pool-task panic to prove it).
 pub fn apply_parallel<P: VertexProgram>(
     session: &GraphSession,
     program: &P,
     config: &VertexicaConfig,
     apply: ParallelApply,
-    total_vertices: u64,
+    local_vertices: u64,
+    extra_commit: impl FnOnce(
+        &[(String, i64, f64)],
+    ) -> VertexicaResult<Vec<(String, Vec<vertexica_storage::Segment>)>>,
 ) -> VertexicaResult<SuperstepOutcome> {
-    apply_parallel_with_extra(session, program, config, apply, total_vertices, Vec::new())
-}
-
-/// [`apply_parallel`] with additional pre-encoded table groups riding the
-/// same grouped commit. The sharded coordinator uses this to swap each
-/// shard's meta-stamp table (and, on the durable path, the retained
-/// previous-superstep message table) **atomically with** the superstep's
-/// vertex/message replacement, so crash recovery always observes a shard at
-/// exactly one superstep boundary.
-pub fn apply_parallel_with_extra<P: VertexProgram>(
-    session: &GraphSession,
-    program: &P,
-    config: &VertexicaConfig,
-    apply: ParallelApply,
-    total_vertices: u64,
-    extra_commit: Vec<(String, Vec<vertexica_storage::Segment>)>,
-) -> VertexicaResult<SuperstepOutcome> {
-    let ParallelApply { agg_specs, buckets, deltas } = apply;
+    let ParallelApply { buckets, deltas, .. } = apply;
     let mut deltas = deltas.into_inner();
     deltas.sort_by_key(|d| d.partition);
     let pool = session.db().runtime().clone();
 
-    // ---- aggregators: folded in (name, vid) order ----
+    // ---- aggregator partials, in their (name, vid) fold order ----
     let mut agg_partials: AggPartials =
         deltas.iter_mut().flat_map(|d| std::mem::take(&mut d.agg_partials)).collect();
     agg_partials.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
-    let mut agg: FxHashMap<String, (AggKind, f64)> = FxHashMap::default();
-    for (name, _, v) in &agg_partials {
-        let kind = agg_specs[name];
-        let entry = agg.entry(name.clone()).or_insert((kind, kind.identity()));
-        entry.1 = kind.combine(entry.1, *v);
-    }
 
-    // ---- update-vs-replace decision (needs the global delta size) ----
+    // ---- update-vs-replace decision (this table's delta size) ----
     let vertex_changes: usize = deltas.iter().map(|d| d.num_updates).sum();
     let change_ratio =
-        if total_vertices == 0 { 0.0 } else { vertex_changes as f64 / total_vertices as f64 };
+        if local_vertices == 0 { 0.0 } else { vertex_changes as f64 / local_vertices as f64 };
     let replaced = vertex_changes > 0 && change_ratio >= config.replace_threshold;
 
     // ---- messages: transpose per-partition buckets, build in parallel ----
@@ -434,36 +421,31 @@ pub fn apply_parallel_with_extra<P: VertexProgram>(
         }
     }
 
-    // ---- commit: encode EVERYTHING, then swap both tables at once ----
-    // Both tables' segments are fully encoded before either contents swap,
-    // and the swap itself is a single grouped catalog commit: on a durable
-    // database both replacements ride one atomic WAL commit record, so
-    // crash recovery can never land on a message table at superstep N+1
-    // with the vertex table still at N. The commit call can only fail on
-    // shape mismatches that are impossible by construction here (the
-    // batches were built against the live schemas above).
+    // ---- commit: build EVERYTHING, then commit it as one group ----
+    // Every table's segments and the in-place row updates are fully built
+    // before anything changes, and the change itself is a single grouped
+    // catalog commit: on a durable database it is one atomic WAL commit
+    // record, so crash recovery can never land on a message table at
+    // superstep N+1 with the vertex table still at N. The commit call can
+    // only fail on shape mismatches that are impossible by construction here
+    // (the batches were built against the live schemas above).
     let msg_segments = session.db().encode_segments_for(&session.message_table(), msg_batches)?;
-    let vertex_segments = if replaced {
-        Some(session.db().encode_segments_for(&session.vertex_table(), vertex_batches)?)
-    } else {
-        None
-    };
     let mut commit_group = vec![(session.message_table(), msg_segments)];
-    let vertex_replaced = vertex_segments.is_some();
-    if let Some(segments) = vertex_segments {
+    let mut row_updates = Vec::new();
+    if replaced {
+        let segments = session.db().encode_segments_for(&session.vertex_table(), vertex_batches)?;
         commit_group.push((session.vertex_table(), segments));
-    }
-    commit_group.extend(extra_commit);
-    session.db().commit_tables_segmented(commit_group)?;
-    if !vertex_replaced && vertex_changes > 0 {
-        // The *update* arm mutates the vertex table directly (delete +
-        // re-insert); it is inherently per-row, not atomic with the message
-        // swap — exactly the trade the paper's threshold policy makes.
+    } else if vertex_changes > 0 {
+        // The *update* arm rewrites only the changed vertex rows (delete +
+        // re-insert by rowid): its cost, logged bytes included, stays
+        // proportional to the change.
         let mut updates: UpdateRows =
             deltas.iter_mut().flat_map(|d| std::mem::take(&mut d.updates)).flatten().collect();
         updates.sort();
-        update_vertices_in_place(session, &updates)?;
+        row_updates.push((session.vertex_table(), in_place_updates(session, &updates)?));
     }
+    commit_group.extend(extra_commit(&agg_partials)?);
+    session.db().commit_tables_segmented(commit_group, row_updates)?;
 
     // ---- halting check ----
     // After a replace we counted the active vertices while building the
@@ -483,23 +465,24 @@ pub fn apply_parallel_with_extra<P: VertexProgram>(
         messages: num_messages,
         replaced,
         all_halted: remaining == 0,
-        aggregates: agg.into_iter().map(|(k, (_, v))| (k, v)).collect(),
         agg_partials,
         apply_parallelism: buckets,
     })
 }
 
-/// The *update* path: in-place DML against the existing vertex table.
-fn update_vertices_in_place(
+/// The *update* path: maps each changed vertex to its row in the existing
+/// vertex table, as `(rowid, new row)` in-place updates for the commit.
+fn in_place_updates(
     session: &GraphSession,
     updates: &[(i64, Vec<u8>, bool)],
-) -> VertexicaResult<()> {
+) -> VertexicaResult<Vec<(u64, Vec<Value>)>> {
     let table = session.db().catalog().get(&session.vertex_table())?;
     let by_id: FxHashMap<i64, (&Vec<u8>, bool)> =
         updates.iter().map(|(id, b, h)| (*id, (b, *h))).collect();
+    // Only the id column is needed to find the rows.
     let scans = {
         let guard = table.read();
-        guard.scan_with_rowids(None, &[])?
+        guard.scan_with_rowids(Some(&[0]), &[])?
     };
     let mut dml: Vec<(u64, Vec<Value>)> = Vec::with_capacity(updates.len());
     for (batch, rowids) in scans {
@@ -514,8 +497,7 @@ fn update_vertices_in_place(
             }
         }
     }
-    table.write().update_rows(dml)?;
-    Ok(())
+    Ok(dml)
 }
 
 #[cfg(test)]

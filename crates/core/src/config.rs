@@ -1,7 +1,5 @@
 //! Runtime configuration for the vertex-centric engine.
 
-use std::path::PathBuf;
-
 /// How worker input is assembled from the vertex/edge/message tables (§2.3,
 /// "Table Unions").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,18 +38,6 @@ pub struct VertexicaConfig {
     /// in-flight bytes tighter and give the pipelined dispatcher more
     /// scatter granularity; larger chunks amortize per-chunk overhead.
     pub stream_chunk_rows: usize,
-    /// Run against a **durable** database: the coordinator checkpoints the
-    /// write-ahead-logged catalog before the first superstep and after the
-    /// run, so a crash at any point recovers to a committed superstep
-    /// boundary (every apply already rides one atomic WAL commit record).
-    /// Meaningless (and harmless) on an in-memory
-    /// [`vertexica_sql::Database::new`] database — checkpointing a
-    /// non-durable catalog is a no-op. Defaults to **off**; the environment
-    /// variable `VERTEXICA_DURABLE=1` flips the default on (the hook CI and
-    /// the cross-engine harness use to run every algorithm against a
-    /// disk-backed database), while [`VertexicaConfig::with_durable`]
-    /// always wins.
-    pub durable: bool,
     /// Byte budget for the storage-layer segment buffer pool: cold ROS
     /// segments beyond this budget are evicted (clock / second-chance) once
     /// they have a checkpointed `.vxtb` spill image, and reloaded on demand
@@ -63,25 +49,8 @@ pub struct VertexicaConfig {
     /// [`VertexicaConfig::with_memory_budget`] always wins. Only effective on
     /// a durable database — without spill images nothing is evictable.
     pub memory_budget_bytes: Option<usize>,
-    /// Number of engine shards for [`crate::shard::ShardedDatabase`] runs:
-    /// the graph is hash-partitioned over vid
-    /// ([`vertexica_storage::partition::int_key_partition`]) across N
-    /// independent `Database` instances, each with its own worker pool,
-    /// catalog, and (when durable) its own WAL directory; supersteps exchange
-    /// messages through per-(source, destination) outboxes with
-    /// prescan-sealed routing. `shards = 1` collapses to the single-database
-    /// code path byte for byte (plain [`crate::coordinator::run_program`] on
-    /// a plain session ignores this knob entirely). Defaults to 1; the
-    /// environment variable `VERTEXICA_SHARDS` sets the *default* (the hook
-    /// the sharded CI job and the cross-engine harness use), while
-    /// [`VertexicaConfig::with_shards`] always wins.
-    pub shards: usize,
     /// Hard cap on supersteps (safety net on top of the program's own limit).
     pub max_supersteps: u64,
-    /// Checkpoint every N supersteps into `checkpoint_dir`.
-    pub checkpoint_every: Option<u64>,
-    /// Where checkpoints are written.
-    pub checkpoint_dir: Option<PathBuf>,
 }
 
 /// Default for [`VertexicaConfig::memory_budget_bytes`]: unbounded, unless
@@ -93,27 +62,17 @@ pub fn memory_budget_default() -> Option<usize> {
     vertexica_storage::buffer_pool::memory_budget_from_env()
 }
 
-/// Default for [`VertexicaConfig::durable`]: **off**, unless the
-/// `VERTEXICA_DURABLE` environment variable enables it (anything other than
-/// unset/`0`/`false`/`off`, case-insensitive) — the hook the durability CI
-/// job and the cross-engine harness use to run every algorithm disk-backed.
+/// Whether the test harness should run against a **durable** database:
+/// off, unless the `VERTEXICA_DURABLE` environment variable enables it
+/// (anything other than unset/`0`/`false`/`off`, case-insensitive) — the
+/// hook the durability CI job and the cross-engine harness use to open every
+/// test database disk-backed. The coordinator itself reads durability from
+/// the database ([`vertexica_sql::Database::is_durable`]), not from a knob.
 pub fn durable_default() -> bool {
     match std::env::var("VERTEXICA_DURABLE") {
         Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "" | "0" | "false" | "off"),
         Err(_) => false,
     }
-}
-
-/// Default for [`VertexicaConfig::shards`]: 1, unless the `VERTEXICA_SHARDS`
-/// environment variable sets a shard count — the hook the sharded CI job and
-/// the cross-engine harness use to run the equivalence matrix across N
-/// engine shards. Unparsable or zero values fall back to 1.
-pub fn shards_default() -> usize {
-    std::env::var("VERTEXICA_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1)
 }
 
 impl Default for VertexicaConfig {
@@ -126,12 +85,8 @@ impl Default for VertexicaConfig {
             replace_threshold: 0.2,
             use_combiner: true,
             stream_chunk_rows: crate::input::STREAM_CHUNK_ROWS,
-            durable: durable_default(),
             memory_budget_bytes: memory_budget_default(),
-            shards: shards_default(),
             max_supersteps: 10_000,
-            checkpoint_every: None,
-            checkpoint_dir: None,
         }
     }
 }
@@ -167,8 +122,9 @@ impl VertexicaConfig {
         self
     }
 
-    pub fn with_durable(mut self, on: bool) -> Self {
-        self.durable = on;
+    /// No-op, kept for source compatibility: a run is durable exactly when
+    /// its database is ([`vertexica_sql::Database::is_durable`]).
+    pub fn with_durable(self, _on: bool) -> Self {
         self
     }
 
@@ -177,19 +133,14 @@ impl VertexicaConfig {
         self
     }
 
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n.max(1);
+    /// No-op, kept for source compatibility: the shard count is the number
+    /// of sessions a run spans ([`crate::shard::ShardedGraphSession`]).
+    pub fn with_shards(self, _n: usize) -> Self {
         self
     }
 
     pub fn with_max_supersteps(mut self, n: u64) -> Self {
         self.max_supersteps = n;
-        self
-    }
-
-    pub fn with_checkpointing(mut self, every: u64, dir: impl Into<PathBuf>) -> Self {
-        self.checkpoint_every = Some(every.max(1));
-        self.checkpoint_dir = Some(dir.into());
         self
     }
 }

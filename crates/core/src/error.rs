@@ -12,8 +12,6 @@ pub enum VertexicaError {
     Storage(StorageError),
     /// Vertex/message payloads failed to decode.
     Codec(String),
-    /// Checkpoint save/restore failure.
-    Checkpoint(String),
     /// Anything else.
     Runtime(String),
 }
@@ -24,7 +22,6 @@ impl fmt::Display for VertexicaError {
             VertexicaError::Sql(e) => write!(f, "sql error: {e}"),
             VertexicaError::Storage(e) => write!(f, "storage error: {e}"),
             VertexicaError::Codec(m) => write!(f, "codec error: {m}"),
-            VertexicaError::Checkpoint(m) => write!(f, "checkpoint error: {m}"),
             VertexicaError::Runtime(m) => write!(f, "runtime error: {m}"),
         }
     }

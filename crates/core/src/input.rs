@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use vertexica_common::FxHashSet;
 use vertexica_sql::JoinBuild;
+use vertexica_storage::partition::int_key_partition;
 use vertexica_storage::{Column, ColumnBuilder, DataType, Field, RecordBatch, Schema, Value};
 
 use crate::config::InputMode;
@@ -132,7 +133,7 @@ impl SourceKind {
 /// with constant/null companion columns — the same rows the UNION ALL query
 /// produces, without materializing their concatenation. Chunks larger than
 /// `chunk_rows` are split. [`InputMode::ThreeWayJoin`] streams the join
-/// through the same sink; see [`partition_row_plan`] for how its row
+/// through the same sink; see [`prescan`] for how its row
 /// placement is planned.
 pub fn assemble_chunks(
     session: &GraphSession,
@@ -179,14 +180,18 @@ fn emit_capped(
     Ok(())
 }
 
-/// How much input each compute partition will eventually receive, for
-/// pipelined per-partition completion detection: `plan[p]` is the number of
-/// union-schema rows hashing (on `vid`) to partition `p`.
+/// How much input each (shard, compute partition) pair will eventually
+/// receive from this session's tables, for pipelined per-partition
+/// completion detection: `counts[d][p]` is the number of union-schema rows
+/// whose `vid` hashes to shard `d` of `num_shards` (the ownership hash) and
+/// partition `p` of `num_partitions`. A single database is the 1-shard case
+/// (`counts[0]` is its whole plan); a shard swaps its matrix with its peers
+/// and sums what every source sends it.
 ///
 /// This is how the chunk sources "declare which partitions they can still
 /// touch": a cheap prescan of each source table hashes every future row
 /// with the exact rule the scatter uses, so the moment partition `p` has
-/// received `plan[p]` rows, no later chunk can touch it and its compute
+/// received its planned rows, no later chunk can touch it and its compute
 /// task can launch.
 ///
 /// * [`InputMode::TableUnion`]: only each source's **key column** is
@@ -197,41 +202,39 @@ fn emit_capped(
 ///   planned without running the join — the prescan replays the re-shape's
 ///   dedup rules (the `JoinDedup` seen-sets) over the base tables: one row per distinct
 ///   vertex id, plus one per distinct surviving message/edge key. This is
-///   what seals the join mode's partitions.
-pub fn partition_row_plan(
+///   what seals the join mode's partitions. Sharded runs always use the
+///   union, so this plan only ever runs with one shard.
+pub fn prescan(
     session: &GraphSession,
     mode: InputMode,
+    num_shards: usize,
     num_partitions: usize,
-) -> VertexicaResult<Option<Vec<u64>>> {
+) -> VertexicaResult<Vec<Vec<u64>>> {
+    let num_shards = num_shards.max(1);
     let num_partitions = num_partitions.max(1);
-    let mut plan = vec![0u64; num_partitions];
+    let mut counts = vec![vec![0u64; num_partitions]; num_shards];
+    let mut count = |key: i64| {
+        let shard = if num_shards == 1 { 0 } else { int_key_partition(key, num_shards) };
+        counts[shard][int_key_partition(key, num_partitions)] += 1;
+    };
     match mode {
         InputMode::TableUnion => {
             // The three sources' key columns: vertex id, edge src, message
             // recipient — each is column 0 of its table and becomes `vid`
-            // (the partition key) in the union schema.
+            // (the partition key) in the union schema. Key columns are NOT
+            // NULL by schema.
             for table in [session.vertex_table(), session.edge_table(), session.message_table()] {
                 let mut cursor = session.db().scan_cursor(&table, Some(&[0]), &[])?;
                 while let Some(batch) = cursor.next_batch()? {
-                    if num_partitions == 1 {
-                        plan[0] += batch.num_rows() as u64;
-                        continue;
-                    }
-                    let assign = vertexica_storage::partition::partition_assignments(
-                        std::slice::from_ref(&batch),
-                        &[0],
-                        num_partitions,
-                    );
-                    for &p in &assign[0] {
-                        plan[p] += 1;
-                    }
+                    let keys = batch.column(0).as_int().ok_or_else(|| {
+                        VertexicaError::Runtime(format!("{table}: key column is not BIGINT"))
+                    })?;
+                    keys.iter().for_each(|&key| count(key));
                 }
             }
         }
         InputMode::ThreeWayJoin => {
             let mut dedup = JoinDedup::default();
-            let part =
-                |vid: i64| vertexica_storage::partition::int_key_partition(vid, num_partitions);
             // Every vertex contributes exactly one KIND_VERTEX row. A NULL
             // id would fail assembly loudly; skip it here so the prescan
             // errors in the same place the re-shape does.
@@ -241,7 +244,7 @@ pub fn partition_row_plan(
                 for i in 0..batch.num_rows() {
                     if let Some(id) = ids.value(i).as_int() {
                         if dedup.seen_vertex.insert(id) {
-                            plan[part(id)] += 1;
+                            count(id);
                         }
                     }
                 }
@@ -259,7 +262,7 @@ pub fn partition_row_plan(
                     }
                     if let Some(key) = msg_dedup_key(recipient, &row[1], &row[2]) {
                         if dedup.seen_msg.insert(key) {
-                            plan[part(recipient)] += 1;
+                            count(recipient);
                         }
                     }
                 }
@@ -277,20 +280,20 @@ pub fn partition_row_plan(
                     }
                     if let Some(key) = edge_dedup_key(src, &row[1], &row[2]) {
                         if dedup.seen_edge.insert(key) {
-                            plan[part(src)] += 1;
+                            count(src);
                         }
                     }
                 }
             }
         }
     }
-    Ok(Some(plan))
+    Ok(counts)
 }
 
 /// The running seen-sets that deduplicate the 3-way join's per-vertex
 /// `edges × messages` cartesian blowup back into one union-schema row per
 /// vertex / surviving message / surviving edge. Shared — keys and rules —
-/// between the re-shape itself and the [`partition_row_plan`] prescan, so
+/// between the re-shape itself and the [`prescan`], so
 /// the plan the prescan hands the sealing partitioner is exactly what the
 /// re-shape will deliver (any drift is a loud plan violation at runtime).
 #[derive(Default)]
@@ -727,7 +730,9 @@ mod tests {
     fn assert_plan_matches_scatter(g: &GraphSession, mode: InputMode) {
         use vertexica_storage::partition::StreamingPartitioner;
         for parts in [1usize, 3, 8] {
-            let plan = partition_row_plan(g, mode, parts).unwrap().unwrap();
+            let counts = prescan(g, mode, 1, parts).unwrap();
+            assert_eq!(counts.len(), 1);
+            let plan = &counts[0];
             assert_eq!(plan.len(), parts);
             let mut partitioner = StreamingPartitioner::new(vec![0], parts);
             assemble_chunks(g, mode, STREAM_CHUNK_ROWS, &mut |b| {
@@ -740,7 +745,7 @@ mod tests {
                 .map(|p| p.iter().map(|b| b.num_rows() as u64).sum())
                 .collect();
             assert_eq!(
-                plan, scattered,
+                *plan, scattered,
                 "{mode:?}/{parts} partitions: plan must equal the real scatter"
             );
         }

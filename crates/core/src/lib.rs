@@ -6,20 +6,25 @@
 //! ([`vertexica_common::VertexProgram`]) and executes user compute functions
 //! *inside* an unmodified SQL engine:
 //!
-//! * the [`coordinator`] is a stored procedure driving supersteps;
+//! * the [`coordinator`] is a stored procedure driving supersteps — one
+//!   superstep loop, of which a single database is the 1-shard case and
+//!   [`shard`] the N-shard case;
 //! * the [`worker`] is a transform UDF (one instance per partition, run on a
 //!   pool sized to the core count);
 //! * [`input`] assembles worker input either as a **table union** (the
 //!   paper's key optimization) or as the naive **3-way join** baseline;
 //! * [`apply`] writes superstep results back using the **update-vs-replace**
 //!   policy (in-place updates below a change-ratio threshold, left-join +
-//!   table-swap replacement above it);
-//! * [`checkpoint`] persists superstep state, [`mutation`] provides graph
-//!   mutations and temporal snapshots, and [`pipeline`] composes relational
-//!   pre-/post-processing with graph algorithms into end-to-end dataflows.
+//!   table-swap replacement above it), either arm one grouped commit;
+//! * every commit rewrites the graph's superstep [`session::Stamp`], the one
+//!   resume mechanism ([`coordinator::resume_program`],
+//!   [`shard::resume_sharded`]) — on a durable database, recovery plus the
+//!   stamp is the paper's "checkpointing and recovery for free";
+//! * [`mutation`] provides graph mutations and temporal snapshots, and
+//!   [`pipeline`] composes relational pre-/post-processing with graph
+//!   algorithms into end-to-end dataflows.
 
 pub mod apply;
-pub mod checkpoint;
 pub mod config;
 pub mod coordinator;
 pub mod error;
@@ -31,7 +36,7 @@ pub mod shard;
 pub mod worker;
 
 pub use config::{InputMode, VertexicaConfig};
-pub use coordinator::{run_program, RunStats, SuperstepStats};
+pub use coordinator::{resume_program, run_program, RunStats, SuperstepStats};
 pub use error::{VertexicaError, VertexicaResult};
 pub use session::GraphSession;
 pub use shard::{

@@ -8,10 +8,18 @@
 //! * `<name>_edge (src, dst, weight, created, etype)` — edges, with the
 //!   metadata attributes §4 attaches (weight, creation timestamp, type);
 //! * `<name>_message (recipient, sender, value)` — in-flight messages.
+//!
+//! A fourth, `<name>_meta (key, vid, bits)`, holds the graph's superstep
+//! [`Stamp`]: every grouped commit of a run (initialization and each
+//! superstep's apply) rewrites it together with the vertex and message
+//! tables, so after a crash the database itself says which superstep its
+//! tables hold — the one resume mechanism
+//! ([`crate::coordinator::resume_program`]).
 
 use std::sync::Arc;
 
 use vertexica_common::graph::{Edge, EdgeList, VertexId};
+use vertexica_common::hash::FxHashMap;
 use vertexica_common::VertexData;
 use vertexica_sql::Database;
 use vertexica_storage::{
@@ -28,7 +36,8 @@ pub struct GraphSession {
 }
 
 impl GraphSession {
-    /// Creates the vertex/edge/message tables for a new graph.
+    /// Creates the vertex/edge/message tables and the stamp table for a new
+    /// graph.
     pub fn create(db: Arc<Database>, name: &str) -> VertexicaResult<Self> {
         let session = GraphSession { db, name: name.to_ascii_lowercase() };
         let catalog = session.db.catalog();
@@ -47,14 +56,20 @@ impl GraphSession {
             message_schema(),
             TableOptions::default().sorted_by(vec![0]),
         )?;
+        catalog.create_table(&session.meta_table(), meta_schema(), TableOptions::default())?;
         Ok(session)
     }
 
     /// Opens an existing graph by name.
     pub fn open(db: Arc<Database>, name: &str) -> VertexicaResult<Self> {
         let session = GraphSession { db, name: name.to_ascii_lowercase() };
-        // Validate all three tables exist.
-        for t in [session.vertex_table(), session.edge_table(), session.message_table()] {
+        // Validate all four tables exist.
+        for t in [
+            session.vertex_table(),
+            session.edge_table(),
+            session.message_table(),
+            session.meta_table(),
+        ] {
             session.db.catalog().get(&t)?;
         }
         Ok(session)
@@ -78,6 +93,35 @@ impl GraphSession {
 
     pub fn message_table(&self) -> String {
         format!("{}_message", self.name)
+    }
+
+    /// The superstep stamp table.
+    pub fn meta_table(&self) -> String {
+        format!("{}_meta", self.name)
+    }
+
+    /// The previous-superstep message retention table, which only the shards
+    /// of a [`crate::shard::ShardedGraphSession`] have (crash repair reads
+    /// it).
+    pub fn message_prev_table(&self) -> String {
+        format!("{}_message_prev", self.name)
+    }
+
+    /// The superstep stamp of the last committed grouped commit (`None`: the
+    /// graph was never initialized by a run).
+    pub fn stamp(&self) -> VertexicaResult<Option<Stamp>> {
+        Stamp::decode(&self.db.scan_table(&self.meta_table(), None, &[])?)
+    }
+
+    /// The commit-group entry that rewrites the stamp table to `stamp`
+    /// (a [`Stamp::encode`] batch).
+    pub(crate) fn stamp_group(
+        &self,
+        stamp: RecordBatch,
+    ) -> VertexicaResult<(String, Vec<vertexica_storage::Segment>)> {
+        let table = self.meta_table();
+        let segments = self.db.encode_segments_for(&table, vec![stamp])?;
+        Ok((table, segments))
     }
 
     /// Bulk-loads an edge list: all edges into the edge table, and one vertex
@@ -278,6 +322,8 @@ impl GraphSession {
         catalog.drop_table_if_exists(&self.vertex_table())?;
         catalog.drop_table_if_exists(&self.edge_table())?;
         catalog.drop_table_if_exists(&self.message_table())?;
+        catalog.drop_table_if_exists(&self.meta_table())?;
+        catalog.drop_table_if_exists(&self.message_prev_table())?;
         catalog.drop_table_if_exists(&format!("{}_vertex_new", self.name))?;
         catalog.drop_table_if_exists(&format!("{}_message_new", self.name))?;
         Ok(())
@@ -311,6 +357,118 @@ pub fn message_schema() -> Arc<Schema> {
         Field::new("sender", DataType::Int),
         Field::new("value", DataType::Blob),
     ])
+}
+
+/// Schema of the stamp table: header rows `(key, NULL, value)`, input
+/// aggregate rows `("agg.<name>", NULL, f64 bits)` and aggregator partial
+/// rows `(name, vid, f64 bits)`.
+fn meta_schema() -> Arc<Schema> {
+    Schema::new(vec![
+        Field::not_null("key", DataType::Str),
+        Field::new("vid", DataType::Int),
+        Field::not_null("bits", DataType::Int),
+    ])
+}
+
+/// The stamp superstep of a graph that is initialized but has committed no
+/// superstep yet.
+pub const STAMP_INIT: i64 = -1;
+
+/// A graph's superstep stamp: what its last grouped commit committed.
+/// Floats are stored as their exact bit patterns, so a resumed run folds and
+/// reads bit-identical values.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Stamp {
+    /// The last committed superstep ([`STAMP_INIT`] after initialization).
+    pub superstep: i64,
+    /// The global vertex count the run initialized with.
+    pub num_vertices: u64,
+    /// The number of shards the run spans.
+    pub num_shards: usize,
+    /// The stamped superstep's **input** aggregates — what crash repair
+    /// re-runs it with.
+    pub input_aggregates: FxHashMap<String, f64>,
+    /// This shard's raw aggregator partials `(name, vid, value)` from the
+    /// stamped superstep, sorted by (name, vid). Resume folds every shard's
+    /// partials in that order, exactly like the live run.
+    pub partials: Vec<(String, i64, f64)>,
+}
+
+impl Stamp {
+    /// Encodes a stamp as one stamp-table batch. Built column by column:
+    /// PageRank contributes one partial per dangling vertex, tens of
+    /// thousands of rows on a large graph.
+    pub fn encode(
+        superstep: i64,
+        num_vertices: u64,
+        num_shards: usize,
+        input_aggregates: &FxHashMap<String, f64>,
+        partials: &[(String, i64, f64)],
+    ) -> VertexicaResult<RecordBatch> {
+        let mut names: Vec<&String> = input_aggregates.keys().collect();
+        names.sort();
+        let rows = 3 + names.len() + partials.len();
+        let mut keys = ColumnBuilder::with_capacity(DataType::Str, rows);
+        let mut vids = ColumnBuilder::with_capacity(DataType::Int, rows);
+        let mut bits = ColumnBuilder::with_capacity(DataType::Int, rows);
+        let header = [
+            ("superstep".to_string(), superstep),
+            ("num_vertices".to_string(), num_vertices as i64),
+            ("num_shards".to_string(), num_shards as i64),
+        ];
+        let aggs = names.into_iter().map(|n| (format!("agg.{n}"), input_aggregates[n].to_bits()));
+        for (key, value) in header.into_iter().chain(aggs.map(|(k, b)| (k, b as i64))) {
+            keys.push(Value::Str(key))?;
+            vids.push_null();
+            bits.push_int(value);
+        }
+        for (name, vid, value) in partials {
+            keys.push(Value::Str(name.clone()))?;
+            vids.push_int(*vid);
+            bits.push_int(value.to_bits() as i64);
+        }
+        Ok(RecordBatch::new(meta_schema(), vec![keys.finish(), vids.finish(), bits.finish()])?)
+    }
+
+    /// Decodes the stamp table's batches (`None`: the table is empty).
+    pub fn decode(batches: &[RecordBatch]) -> VertexicaResult<Option<Stamp>> {
+        let bad = |what: &str| VertexicaError::Codec(format!("stamp table: {what}"));
+        let mut stamp = Stamp::default();
+        let mut superstep = None;
+        for batch in batches {
+            let keys = batch.column(0).as_str().ok_or_else(|| bad("key column is not text"))?;
+            let vids = batch.column(1);
+            let vid_values = vids.as_int().ok_or_else(|| bad("vid column is not an integer"))?;
+            let bits =
+                batch.column(2).as_int().ok_or_else(|| bad("bits column is not an integer"))?;
+            for (i, key) in keys.iter().enumerate() {
+                if !vids.is_null(i) {
+                    let value = f64::from_bits(bits[i] as u64);
+                    stamp.partials.push((key.clone(), vid_values[i], value));
+                    continue;
+                }
+                match key.as_str() {
+                    "superstep" => superstep = Some(bits[i]),
+                    "num_vertices" => stamp.num_vertices = bits[i] as u64,
+                    "num_shards" => stamp.num_shards = bits[i] as usize,
+                    other => {
+                        let name = other
+                            .strip_prefix("agg.")
+                            .ok_or_else(|| bad(&format!("unknown key {other:?}")))?;
+                        stamp
+                            .input_aggregates
+                            .insert(name.to_string(), f64::from_bits(bits[i] as u64));
+                    }
+                }
+            }
+        }
+        if batches.iter().all(|b| b.num_rows() == 0) {
+            return Ok(None);
+        }
+        stamp.superstep = superstep.ok_or_else(|| bad("no superstep row"))?;
+        stamp.partials.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
+        Ok(Some(stamp))
+    }
 }
 
 /// Builds a message-table batch from (recipient, sender, payload) triples,

@@ -880,14 +880,16 @@ impl Database {
     }
 
     /// Multi-table variant of [`commit_table_segments`](Self::commit_table_segments):
-    /// publishes **all** the pre-built per-table contents in one atomic
-    /// catalog commit. On a durable database the whole group rides a single
-    /// WAL commit record, so recovery lands on either the complete old or
-    /// the complete new superstep state — never a torn mixture. Returns the
-    /// total row count across the new contents.
+    /// publishes **all** the pre-built per-table contents, plus the in-place
+    /// `(rowid, row)` updates of `updates`, in one atomic catalog commit
+    /// ([`Catalog::replace_contents_many`]). On a durable database the whole
+    /// group rides a single WAL commit record, so recovery lands on either
+    /// the complete old or the complete new superstep state — never a torn
+    /// mixture. Returns the total row count across the new contents.
     pub fn commit_tables_segmented(
         &self,
         groups: Vec<(String, Vec<vertexica_storage::Segment>)>,
+        updates: Vec<(String, Vec<(u64, vertexica_storage::table::Row)>)>,
     ) -> SqlResult<usize> {
         let mut replacements = Vec::with_capacity(groups.len());
         let mut rows = 0usize;
@@ -904,7 +906,7 @@ impl Database {
             }
             replacements.push((table, fresh));
         }
-        self.catalog.replace_contents_many(replacements)?;
+        self.catalog.replace_contents_many(replacements, updates)?;
         Ok(rows)
     }
 

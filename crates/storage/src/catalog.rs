@@ -14,7 +14,7 @@ use vertexica_common::FxHashMap;
 use crate::buffer_pool::BufferPool;
 use crate::error::{StorageError, StorageResult};
 use crate::persist;
-use crate::table::{Table, TableOptions};
+use crate::table::{Row, Table, TableOptions};
 use crate::value::Schema;
 use crate::wal::WalSink;
 
@@ -221,28 +221,44 @@ impl Catalog {
     /// the complete new contents, never a mixture, and no `_new`/`_delta`
     /// temporary tables are needed.
     pub fn replace_contents(&self, name: &str, table: Table) -> StorageResult<()> {
-        self.replace_contents_many(vec![(name.to_string(), table)])
+        self.replace_contents_many(vec![(name.to_string(), table)], Vec::new())
     }
 
-    /// Atomically replaces the contents of **several** tables as one durable
-    /// commit — the superstep-apply commit point. In-memory, each swap is
-    /// per-table atomic exactly like [`Catalog::replace_contents`]; on disk,
+    /// Atomically replaces the contents of **several** tables and updates
+    /// rows of others in place, as one durable commit — the superstep-apply
+    /// commit point. `updates` holds `(table, [(rowid, new row)])` groups
+    /// (see [`Table::update_rows`]). In-memory, each table changes under its
+    /// own write lock exactly like [`Catalog::replace_contents`]; on disk,
     /// the whole group commits via a *single* WAL `Commit` record naming
-    /// every `(table, segment file)` pair, so recovery lands on either all of
-    /// the new tables or none of them.
+    /// every `(table, segment file)` pair and carrying the updated rows
+    /// inline, so recovery lands on either all of the changes or none of
+    /// them. An update costs log bytes proportional to the rows it touches,
+    /// never a table image.
     ///
     /// Protocol: serialize each fresh table's physical image, take every
     /// target's write lock (in sorted name order — no lock-order inversion),
-    /// write the images to fresh segment files + append the commit marker
-    /// (`WalSink::commit_replace`), then install the new contents under the
-    /// still-held locks. Holding the locks across log-then-install means no
-    /// writer can slip a record against the doomed old contents in between.
-    pub fn replace_contents_many(&self, tables: Vec<(String, Table)>) -> StorageResult<()> {
+    /// validate the updated rows against their live schemas, write the
+    /// images to fresh segment files + append the commit marker
+    /// (`WalSink::commit_replace`), then install the new contents and apply
+    /// the updates under the still-held locks. Holding the locks across
+    /// log-then-install means no writer can slip a record against the doomed
+    /// old contents in between.
+    pub fn replace_contents_many(
+        &self,
+        tables: Vec<(String, Table)>,
+        updates: Vec<(String, Vec<(u64, Row)>)>,
+    ) -> StorageResult<()> {
+        /// One table's part of the group.
+        enum Change {
+            /// Fresh contents, with their serialized image and segment spans
+            /// on a durable catalog.
+            Replace(Box<Table>, Option<(Vec<u8>, Vec<persist::SegmentSpan>)>),
+            Update(Vec<(u64, Row)>),
+        }
         let wal = self.wal.read().clone();
         // Normalize names, set them on the fresh tables, serialize images
         // (keeping each segment's byte span for spill addressing).
-        type Prep = (String, Table, Option<(Vec<u8>, Vec<persist::SegmentSpan>)>);
-        let mut prepared: Vec<Prep> = Vec::with_capacity(tables.len());
+        let mut changes: Vec<(String, Change)> = Vec::with_capacity(tables.len() + updates.len());
         for (name, mut table) in tables {
             let key = normalize(&name);
             table.set_name(key.clone());
@@ -251,10 +267,15 @@ impl Catalog {
             } else {
                 None
             };
-            prepared.push((key, table, bytes));
+            changes.push((key, Change::Replace(Box::new(table), bytes)));
         }
-        prepared.sort_by(|a, b| a.0.cmp(&b.0));
-        for pair in prepared.windows(2) {
+        for (name, rows) in updates {
+            if !rows.is_empty() {
+                changes.push((normalize(&name), Change::Update(rows)));
+            }
+        }
+        changes.sort_by(|a, b| a.0.cmp(&b.0));
+        for pair in changes.windows(2) {
             if pair[0].0 == pair[1].0 {
                 return Err(StorageError::Internal(format!(
                     "replace_contents_many given table {} twice",
@@ -263,32 +284,52 @@ impl Catalog {
             }
         }
         let refs: Vec<TableRef> =
-            prepared.iter().map(|(name, _, _)| self.get(name)).collect::<StorageResult<_>>()?;
+            changes.iter().map(|(name, _)| self.get(name)).collect::<StorageResult<_>>()?;
         let mut guards: Vec<_> = refs.iter().map(|r| r.write()).collect();
-        let mut spans: Vec<Vec<persist::SegmentSpan>> = Vec::new();
-        let files: Option<Vec<(String, String)>> = if let Some(w) = &wal {
-            let entries: Vec<(String, Vec<u8>)> = prepared
-                .iter_mut()
-                .map(|(name, _, bytes)| {
-                    // vxlint: allow(no-unwrap-recovery) -- infallible: every `prepared` entry was filled by the serialize pass above and taken exactly once
-                    let (bytes, sp) = bytes.take().expect("serialized above");
-                    spans.push(sp);
-                    (name.clone(), bytes)
-                })
-                .collect();
-            Some(w.commit_replace(&entries)?)
-        } else {
-            None
-        };
-        for (i, (guard, (_, mut table, _))) in guards.iter_mut().zip(prepared).enumerate() {
-            table.set_wal(wal.clone());
-            table.set_pool(Some(self.pool.clone()));
-            // The commit wrote this table's image; its segments now have
-            // disk twins at the recorded spans and are evictable.
-            if let Some(files) = &files {
-                table.assign_spill_addrs(&files[i].1, &spans[i])?;
+        for ((_, change), guard) in changes.iter_mut().zip(&guards) {
+            if let Change::Update(rows) = change {
+                *rows = guard.check_updates(std::mem::take(rows))?;
             }
-            **guard = table;
+        }
+        // Per replaced table, in group order: (image file, segment spans).
+        let mut spill: Vec<(String, Vec<persist::SegmentSpan>)> = Vec::new();
+        if let Some(w) = &wal {
+            let mut entries: Vec<(String, Vec<u8>)> = Vec::new();
+            let mut spans = Vec::new();
+            let mut logged: Vec<(String, &[(u64, Row)])> = Vec::new();
+            for (name, change) in &mut changes {
+                match change {
+                    Change::Replace(_, image) => {
+                        let (bytes, sp) = image.take().ok_or_else(|| {
+                            StorageError::Internal(format!("table {name} was not serialized"))
+                        })?;
+                        entries.push((name.clone(), bytes));
+                        spans.push(sp);
+                    }
+                    Change::Update(rows) => logged.push((name.clone(), rows)),
+                }
+            }
+            let files = w.commit_replace(&entries, &logged)?;
+            spill = files.into_iter().map(|(_, file)| file).zip(spans).collect();
+        }
+        let mut spill = spill.into_iter();
+        for ((_, change), guard) in changes.into_iter().zip(guards.iter_mut()) {
+            match change {
+                Change::Replace(table, _) => {
+                    let mut table = *table;
+                    table.set_wal(wal.clone());
+                    table.set_pool(Some(self.pool.clone()));
+                    // The commit wrote this table's image; its segments now
+                    // have disk twins at the recorded spans and are evictable.
+                    if let Some((file, spans)) = spill.next() {
+                        table.assign_spill_addrs(&file, &spans)?;
+                    }
+                    **guard = table;
+                }
+                Change::Update(rows) => {
+                    guard.update_rows_unlogged(rows)?;
+                }
+            }
         }
         drop(guards);
         // The old contents just dropped and new ones landed: re-enforce the

@@ -871,16 +871,20 @@ impl Table {
     /// Updates rows in place: for each `(rowid, new_row)`, deletes the old row
     /// and inserts the new one. Returns the number of rows updated.
     pub fn update_rows(&mut self, updates: Vec<(u64, Row)>) -> StorageResult<usize> {
-        let mut checked = Vec::with_capacity(updates.len());
-        for (id, row) in updates {
-            checked.push((id, self.check_row(row)?));
-        }
+        let checked = self.check_updates(updates)?;
         if !checked.is_empty() {
             if let Some(w) = &self.wal {
                 w.log_data(&self.name, &wal::payload_update_rows(&self.name, &checked))?;
             }
         }
         self.update_rows_unlogged(checked)
+    }
+
+    /// Validates and coerces every row of an in-place update against the
+    /// schema — the check half of [`Table::update_rows`], shared with the
+    /// grouped catalog commit.
+    pub(crate) fn check_updates(&self, updates: Vec<(u64, Row)>) -> StorageResult<Vec<(u64, Row)>> {
+        updates.into_iter().map(|(id, row)| Ok((id, self.check_row(row)?))).collect()
     }
 
     /// Apply half of [`Table::update_rows`] (delete + re-insert of

@@ -13,11 +13,13 @@
 //!   physical `VXTB2` format ([`crate::persist::table_to_bytes_physical`]),
 //!   which preserves the exact WOS/segment/zone-map/delete-vector layout, so
 //!   a recovered table is **bitwise identical** under re-serialization.
-//! * **Commit marker** — the superstep apply path replaces whole tables via
+//! * **Commit marker** — the superstep apply path replaces whole tables and
+//!   updates rows in place via
 //!   [`crate::catalog::Catalog::replace_contents_many`]. Its commit protocol
 //!   writes the fresh tables' physical bytes to files, then appends **one**
-//!   `Commit` record naming all `(table, file)` pairs: the single-frame
-//!   append is the atomic commit point covering every swapped table.
+//!   `Commit` record naming all `(table, file)` pairs and carrying the
+//!   in-place `(rowid, row)` updates inline: the single-frame append is the
+//!   atomic commit point covering every table in the group.
 //! * **Checkpoint / truncate cycle** — a checkpoint flushes every table,
 //!   writes a `MANIFEST` (tmp + rename, CRC-trailed) recording per-table
 //!   `(file, watermark)` pairs plus the log's sequence floor, and — when no
@@ -189,7 +191,8 @@ const TAG_COMMIT: u8 = 13;
 /// A decoded WAL record. Data records name the table they mutate; DDL
 /// records mutate the catalog; `Commit` is the superstep-apply marker naming
 /// every `(table, segment file)` pair swapped by one
-/// [`Catalog::replace_contents_many`] call.
+/// [`Catalog::replace_contents_many`] call, plus the in-place row updates of
+/// the same call.
 #[derive(Debug)]
 pub enum WalRecord {
     InsertRows { table: String, rows: Vec<Row> },
@@ -204,7 +207,7 @@ pub enum WalRecord {
     RenameTable { from: String, to: String },
     SwapTables { a: String, b: String },
     RegisterTable { physical: Vec<u8> },
-    Commit { tables: Vec<(String, String)> },
+    Commit { tables: Vec<(String, String)>, updates: Vec<(String, Vec<(u64, Row)>)> },
 }
 
 fn tagged(tag: u8, table: &str) -> Vec<u8> {
@@ -240,12 +243,33 @@ pub(crate) fn payload_delete_rowids(table: &str, rowids: &[u64]) -> Vec<u8> {
 
 pub(crate) fn payload_update_rows(table: &str, updates: &[(u64, Row)]) -> Vec<u8> {
     let mut buf = tagged(TAG_UPDATE_ROWS, table);
+    put_updates(&mut buf, updates);
+    buf
+}
+
+/// `[u32 count]` then `[u64 rowid][row]` per update.
+fn put_updates(buf: &mut Vec<u8>, updates: &[(u64, Row)]) {
     buf.put_u32_le(updates.len() as u32);
     for (id, row) in updates {
         buf.put_u64_le(*id);
-        persist::put_row(&mut buf, row);
+        persist::put_row(buf, row);
     }
-    buf
+}
+
+fn get_updates(buf: &mut &[u8]) -> StorageResult<Vec<(u64, Row)>> {
+    if buf.len() < 4 {
+        return Err(StorageError::Corrupt("truncated update count".into()));
+    }
+    let n = buf.get_u32_le() as usize;
+    let mut updates = Vec::with_capacity(n.min(1 << 22));
+    for _ in 0..n {
+        if buf.len() < 8 {
+            return Err(StorageError::Corrupt("truncated update rowid".into()));
+        }
+        let id = buf.get_u64_le();
+        updates.push((id, persist::get_row(buf)?));
+    }
+    Ok(updates)
 }
 
 pub(crate) fn payload_truncate(table: &str) -> Vec<u8> {
@@ -291,13 +315,18 @@ fn payload_register_table(physical: &[u8]) -> Vec<u8> {
     buf
 }
 
-fn payload_commit(tables: &[(String, String)]) -> Vec<u8> {
+fn payload_commit(tables: &[(String, String)], updates: &[(String, &[(u64, Row)])]) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.put_u8(TAG_COMMIT);
     buf.put_u32_le(tables.len() as u32);
     for (table, file) in tables {
         persist::put_str(&mut buf, table);
         persist::put_str(&mut buf, file);
+    }
+    buf.put_u32_le(updates.len() as u32);
+    for (table, rows) in updates {
+        persist::put_str(&mut buf, table);
+        put_updates(&mut buf, rows);
     }
     buf
 }
@@ -346,18 +375,7 @@ pub fn decode_record(payload: &[u8]) -> StorageResult<(u64, WalRecord)> {
         }
         TAG_UPDATE_ROWS => {
             let table = persist::get_str(buf)?;
-            if buf.len() < 4 {
-                return Err(StorageError::Corrupt("truncated update count".into()));
-            }
-            let n = buf.get_u32_le() as usize;
-            let mut updates = Vec::with_capacity(n.min(1 << 22));
-            for _ in 0..n {
-                if buf.len() < 8 {
-                    return Err(StorageError::Corrupt("truncated update rowid".into()));
-                }
-                let id = buf.get_u64_le();
-                updates.push((id, persist::get_row(buf)?));
-            }
+            let updates = get_updates(buf)?;
             WalRecord::UpdateRows { table, updates }
         }
         TAG_TRUNCATE => WalRecord::Truncate { table: persist::get_str(buf)? },
@@ -403,7 +421,16 @@ pub fn decode_record(payload: &[u8]) -> StorageResult<(u64, WalRecord)> {
                 let file = persist::get_str(buf)?;
                 tables.push((table, file));
             }
-            WalRecord::Commit { tables }
+            if buf.len() < 4 {
+                return Err(StorageError::Corrupt("truncated commit update count".into()));
+            }
+            let n = buf.get_u32_le() as usize;
+            let mut updates = Vec::with_capacity(n.min(1 << 16));
+            for _ in 0..n {
+                let table = persist::get_str(buf)?;
+                updates.push((table, get_updates(buf)?));
+            }
+            WalRecord::Commit { tables, updates }
         }
         other => return Err(StorageError::Corrupt(format!("bad wal record tag {other}"))),
     };
@@ -765,15 +792,17 @@ impl WalSink {
 
     /// The replace-commit protocol: writes each fresh table's physical bytes
     /// to a new segment file, then appends **one** `Commit` marker naming all
-    /// `(table, file)` pairs — the atomic commit point for the whole group.
-    /// Callers must hold every target table's write lock across this call
-    /// *and* the in-memory install that follows, so no writer can log against
-    /// doomed contents after the marker.
+    /// `(table, file)` pairs and carrying `updates` (validated in-place row
+    /// updates of other tables) inline — the atomic commit point for the
+    /// whole group. Callers must hold every target table's write lock across
+    /// this call *and* the in-memory install that follows, so no writer can
+    /// log against doomed contents after the marker.
     /// Returns the `(table, file)` pairs written, so the caller can record
     /// per-segment spill addresses against the new image files.
     pub(crate) fn commit_replace(
         &self,
         entries: &[(String, Vec<u8>)],
+        updates: &[(String, &[(u64, Row)])],
     ) -> StorageResult<Vec<(String, String)>> {
         let mut st = self.state.lock();
         let mut pairs = Vec::with_capacity(entries.len());
@@ -783,7 +812,12 @@ impl WalSink {
             st.stats.tables_flushed += 1;
             pairs.push((name.clone(), file));
         }
-        let seq = st.append_record(&payload_commit(&pairs))?;
+        let seq = st.append_record(&payload_commit(&pairs, updates))?;
+        for (name, _) in updates {
+            // Updated in place: the marker is a live record for this table
+            // until a checkpoint flushes its image.
+            st.metas.entry(name.clone()).or_default().dirty = true;
+        }
         for (name, file) in &pairs {
             st.metas.insert(
                 name.clone(),
@@ -960,7 +994,8 @@ fn read_wal_records(path: &Path) -> StorageResult<Vec<(u64, WalRecord)>> {
 /// Recovery: load the manifest's flushed table images, replay WAL records in
 /// sequence order — a data record applies only if its seq is at or past the
 /// owning table's watermark; DDL applies only at or past the manifest's global
-/// floor; a `Commit` marker re-installs its flushed files per pair — then run
+/// floor; a `Commit` marker re-installs its flushed files per pair and
+/// re-applies its in-place updates per table, each under the same rule — then run
 /// a full checkpoint so the directory converges to "flushed images + empty
 /// log" regardless of where the previous process stopped. Opening, closing,
 /// and reopening is therefore idempotent: the recovered state is bitwise
@@ -1091,7 +1126,7 @@ pub fn open_durable(dir: impl AsRef<Path>, sync: bool) -> StorageResult<Arc<Cata
                     metas.insert(name, TableMeta::default());
                 }
             }
-            WalRecord::Commit { tables } => {
+            WalRecord::Commit { tables, updates } => {
                 for (table, file) in tables {
                     if seq >= watermark_of(&metas, &table) {
                         let bytes = std::fs::read(dir.join(&file))?;
@@ -1108,6 +1143,11 @@ pub fn open_durable(dir: impl AsRef<Path>, sync: bool) -> StorageResult<Arc<Cata
                             table,
                             TableMeta { file: Some(file), watermark: seq + 1, dirty: false },
                         );
+                    }
+                }
+                for (table, rows) in updates {
+                    if seq >= watermark_of(&metas, &table) {
+                        catalog.get(&table)?.write().update_rows_unlogged(rows)?;
                     }
                 }
             }
@@ -1265,9 +1305,13 @@ mod tests {
         ];
         let mut payload = Vec::new();
         payload.put_u64_le(99);
-        payload.extend_from_slice(&payload_commit(&pairs));
+        let updated = vec![(5u64, vec![Value::Int(5), Value::Float(2.5)])];
+        payload.extend_from_slice(&payload_commit(&pairs, &[("meta".to_string(), &updated)]));
         match decode_record(&payload).unwrap() {
-            (99, WalRecord::Commit { tables }) => assert_eq!(tables, pairs),
+            (99, WalRecord::Commit { tables, updates }) => {
+                assert_eq!(tables, pairs);
+                assert_eq!(updates, vec![("meta".to_string(), updated)]);
+            }
             other => panic!("wrong record: {other:?}"),
         }
 
@@ -1425,13 +1469,73 @@ mod tests {
             v.insert_row(vec![Value::Int(10), Value::Float(1.0)]).unwrap();
             let mut m = Table::new("msg", schema(), TableOptions::default());
             m.insert_row(vec![Value::Int(20), Value::Float(2.0)]).unwrap();
-            catalog.replace_contents_many(vec![("vertex".into(), v), ("msg".into(), m)]).unwrap();
+            catalog
+                .replace_contents_many(vec![("vertex".into(), v), ("msg".into(), m)], Vec::new())
+                .unwrap();
             (before, catalog_image(&catalog))
         };
         assert_ne!(before, after);
         let reopened = open_durable(&dir, false).unwrap();
         assert_eq!(catalog_image(&reopened), after);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// In-place updates ride the commit record: one WAL frame covers the
+    /// swapped table and the updated rows, recovery replays both, and a
+    /// crash anywhere inside the commit lands on all of it or none of it.
+    #[test]
+    fn replace_commit_carries_in_place_updates() {
+        let build = |dir: &Path, budget: Option<u64>| {
+            let catalog = open_durable(dir, false).unwrap();
+            catalog.create_table("vertex", schema(), TableOptions::default()).unwrap();
+            catalog.create_table("msg", schema(), TableOptions::default()).unwrap();
+            let rows: Vec<Row> = (0..4).map(|i| vec![Value::Int(i), Value::Float(0.0)]).collect();
+            catalog.get("vertex").unwrap().write().insert_rows(rows).unwrap();
+            catalog.checkpoint().unwrap();
+            let before = catalog_image(&catalog);
+            let rowid = {
+                let t = catalog.get("vertex").unwrap();
+                let scans = t.read().scan_with_rowids(None, &[]).unwrap();
+                scans[0].1[2]
+            };
+            let mut m = Table::new("msg", schema(), TableOptions::default());
+            m.insert_row(vec![Value::Int(20), Value::Float(2.0)]).unwrap();
+            let records = catalog.wal_sink().unwrap().stats().wal_records;
+            catalog.wal_sink().unwrap().set_crash_budget(budget);
+            let ok = catalog
+                .replace_contents_many(
+                    vec![("msg".into(), m)],
+                    vec![("vertex".into(), vec![(rowid, vec![Value::Int(2), Value::Float(9.5)])])],
+                )
+                .is_ok();
+            let wal_records = catalog.wal_sink().unwrap().stats().wal_records - records;
+            (before, catalog_image(&catalog), ok, wal_records)
+        };
+        let dir = temp_dir("commit_upd");
+        let (before, after, ok, wal_records) = build(&dir, None);
+        assert!(ok);
+        assert_eq!(
+            wal_records, 1,
+            "the updates must ride the commit record, not a frame of their own"
+        );
+        assert_ne!(before, after);
+        assert_eq!(catalog_image(&open_durable(&dir, false).unwrap()), after);
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // Crash at every byte of the commit: all or nothing.
+        let mut saw_torn = false;
+        for budget in (0..4000).step_by(7) {
+            let dir = temp_dir("commit_upd_crash");
+            let (_, _, ok, _) = build(&dir, Some(budget));
+            let image = catalog_image(&open_durable(&dir, false).unwrap());
+            assert!(image == before || image == after, "budget {budget}: torn commit");
+            saw_torn |= !ok && image == before;
+            std::fs::remove_dir_all(&dir).unwrap();
+            if ok {
+                break;
+            }
+        }
+        assert!(saw_torn, "the sweep never crashed inside the commit");
     }
 
     #[test]

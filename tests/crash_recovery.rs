@@ -20,6 +20,13 @@
 //!    a child process runs real grouped superstep commits until the parent
 //!    SIGKILLs it at an arbitrary moment; recovery must observe the
 //!    multi-table commit atomically.
+//!
+//! 4. **Torn supersteps**: a durable SSSP run whose sparse supersteps take
+//!    the in-place update arm is crashed at every few bytes of its durable
+//!    writes, on one database and on shard 1 of two; every reopened (and,
+//!    sharded, repaired) state must be exactly some superstep boundary of
+//!    an uninterrupted run, carry that boundary's stamp, and resume to the
+//!    uninterrupted result.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -70,6 +77,9 @@ enum Op {
     /// Replace alpha+beta contents in one grouped commit (one commit
     /// record): alpha gets `n` rows tagged `tag`, beta gets `n/2`.
     ReplaceBoth { n: usize, tag: i64 },
+    /// Replace beta and update the first `k` scanned rows of alpha in place,
+    /// in one grouped commit (one commit record carrying the updates).
+    ReplaceBetaUpdateAlpha { k: usize, tag: i64 },
     /// Drop gamma if present (one record, or none when absent).
     DropGamma,
     /// Create gamma if absent (one record, or none when present).
@@ -84,6 +94,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
         1 => Just(Op::Moveout),
         1 => Just(Op::TruncateBeta),
         2 => ((1usize..24), (0i64..1000)).prop_map(|(n, tag)| Op::ReplaceBoth { n, tag }),
+        2 => ((1usize..8), (0i64..1000))
+            .prop_map(|(k, tag)| Op::ReplaceBetaUpdateAlpha { k, tag }),
         1 => Just(Op::DropGamma),
         1 => Just(Op::CreateGamma),
     ]
@@ -131,10 +143,33 @@ fn apply_op(catalog: &Catalog, op: &Op) -> vertexica_storage::StorageResult<()> 
                 }
                 Ok(t)
             };
-            catalog.replace_contents_many(vec![
-                ("alpha".to_string(), mk(*n)?),
-                ("beta".to_string(), mk(*n / 2)?),
-            ])?;
+            catalog.replace_contents_many(
+                vec![("alpha".to_string(), mk(*n)?), ("beta".to_string(), mk(*n / 2)?)],
+                Vec::new(),
+            )?;
+        }
+        Op::ReplaceBetaUpdateAlpha { k, tag } => {
+            let mut beta =
+                Table::new("x", pair_schema(), TableOptions::default().with_moveout_threshold(8));
+            beta.insert_row(vec![Value::Int(-1), Value::Int(*tag)])?;
+            let updates: Vec<(u64, Vec<Value>)> = {
+                let guard = catalog.get("alpha")?;
+                let guard = guard.read();
+                guard
+                    .scan_with_rowids(None, &[])?
+                    .into_iter()
+                    .flat_map(|(batch, ids)| {
+                        (0..batch.num_rows())
+                            .map(|i| (ids[i], vec![batch.column(0).value(i), Value::Int(*tag)]))
+                            .collect::<Vec<_>>()
+                    })
+                    .take(*k)
+                    .collect()
+            };
+            catalog.replace_contents_many(
+                vec![("beta".to_string(), beta)],
+                vec![("alpha".to_string(), updates)],
+            )?;
         }
         Op::DropGamma => {
             catalog.drop_table_if_exists("gamma")?;
@@ -461,4 +496,215 @@ fn physical_persist_truncations_all_error() {
         bytes[pos] ^= 0x04;
         assert!(persist::table_from_bytes_physical(&bytes).is_err(), "flip at {pos} undetected");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Torn supersteps: crash durable vertex-centric runs at every few bytes.
+// ---------------------------------------------------------------------------
+
+use vertexica::{
+    repair_if_needed, resume_program, resume_sharded, run_program, run_sharded, GraphSession,
+    ShardedDatabase, ShardedGraphSession, VertexicaConfig,
+};
+use vertexica_algorithms::vc::Sssp;
+use vertexica_common::graph::EdgeList;
+use vertexica_sql::Database;
+
+/// A 40-vertex chain: SSSP from 0 changes every vertex in superstep 0 (all
+/// vote to halt) and exactly one vertex per superstep after — 1/40 is below
+/// the default replace threshold, so supersteps 1.. take the update arm.
+const CHAIN: u64 = 40;
+/// Supersteps per run: 0..=7.
+const CAP: u64 = 8;
+
+fn chain() -> EdgeList {
+    EdgeList::from_pairs((0..CHAIN - 1).map(|i| (i, i + 1)))
+}
+
+fn sweep_config(cap: u64) -> VertexicaConfig {
+    VertexicaConfig::default()
+        .with_workers(2)
+        .with_partitions(4)
+        .with_combiner(false)
+        .with_replace_threshold(0.2)
+        .with_max_supersteps(cap)
+}
+
+/// Vertex rows and message rows, bit for bit, plus the stamped superstep.
+#[derive(Debug, PartialEq)]
+struct GraphState {
+    vertices: Vec<(i64, Option<Vec<u8>>, Option<bool>)>,
+    messages: Vec<(i64, Option<i64>, Option<Vec<u8>>)>,
+    stamp: Option<i64>,
+}
+
+/// The canonical state across every shard's session (stamps must agree).
+fn graph_state(sessions: &[GraphSession]) -> GraphState {
+    let mut vertices = Vec::new();
+    let mut messages = Vec::new();
+    let mut stamps = Vec::new();
+    for sess in sessions {
+        for b in sess.db().scan_table(&sess.vertex_table(), None, &[]).unwrap() {
+            for row in (0..b.num_rows()).map(|i| b.row(i)) {
+                vertices.push((
+                    row[0].as_int().unwrap(),
+                    row[1].as_blob().map(<[u8]>::to_vec),
+                    row[2].as_bool(),
+                ));
+            }
+        }
+        for b in sess.db().scan_table(&sess.message_table(), None, &[]).unwrap() {
+            for row in (0..b.num_rows()).map(|i| b.row(i)) {
+                messages.push((
+                    row[0].as_int().unwrap(),
+                    row[1].as_int(),
+                    row[2].as_blob().map(<[u8]>::to_vec),
+                ));
+            }
+        }
+        stamps.push(sess.stamp().unwrap().map(|s| s.superstep));
+    }
+    vertices.sort();
+    messages.sort();
+    stamps.dedup();
+    assert_eq!(stamps.len(), 1, "shards disagree on the stamp: {stamps:?}");
+    GraphState { vertices, messages, stamp: stamps[0] }
+}
+
+/// The oracle: the loaded-but-unrun state, then uninterrupted in-memory runs
+/// capped at 0..=CAP supersteps (cap k stamps superstep k - 1).
+fn boundaries() -> Vec<GraphState> {
+    let fresh = || {
+        let s = GraphSession::create(Arc::new(Database::new()), "g").unwrap();
+        s.load_edges(&chain()).unwrap();
+        s
+    };
+    let mut out = vec![graph_state(&[fresh()])];
+    for cap in 0..=CAP {
+        let s = fresh();
+        let stats = run_program(&s, Arc::new(Sssp::new(0)), &sweep_config(cap)).unwrap();
+        if cap == CAP {
+            assert!(
+                stats.per_superstep[1..].iter().all(|st| !st.replaced),
+                "supersteps 1.. must take the update arm"
+            );
+        }
+        out.push(graph_state(&[s]));
+    }
+    out
+}
+
+/// Durable bytes the `k`-th database writes during `run`.
+fn durable_bytes(db: &Database, run: impl FnOnce()) -> u64 {
+    let before = db.durability_stats().unwrap();
+    run();
+    let after = db.durability_stats().unwrap();
+    (after.wal_bytes + after.flush_bytes) - (before.wal_bytes + before.flush_bytes)
+}
+
+/// Crash points: every `stride` bytes of a `total`-byte run, and its end.
+fn crash_points(total: u64, stride: u64) -> Vec<u64> {
+    (0..total).step_by(stride as usize).chain([total]).collect()
+}
+
+/// The single-database sweep: whatever byte the crash lands on, the
+/// reopened database is exactly one superstep boundary — vertex table,
+/// message table and stamp together — and resuming from it reaches the
+/// uninterrupted result.
+#[test]
+fn torn_update_arm_recovers_to_a_superstep_boundary() {
+    let oracle = boundaries();
+    let durable_chain = |dir: &PathBuf| {
+        let db = Arc::new(Database::open(dir).unwrap());
+        let s = GraphSession::create(db.clone(), "g").unwrap();
+        s.load_edges(&chain()).unwrap();
+        db.checkpoint().unwrap();
+        s
+    };
+    let dir = temp_dir("torn_measure");
+    let total = {
+        let s = durable_chain(&dir);
+        durable_bytes(s.db(), || {
+            run_program(&s, Arc::new(Sssp::new(0)), &sweep_config(CAP)).unwrap();
+        })
+    };
+    std::fs::remove_dir_all(&dir).ok();
+
+    let mut landed = vec![0usize; oracle.len()];
+    for budget in crash_points(total, 97) {
+        let dir = temp_dir("torn");
+        {
+            let s = durable_chain(&dir);
+            s.db().catalog().wal_sink().unwrap().set_crash_budget(Some(budget));
+            let _ = run_program(&s, Arc::new(Sssp::new(0)), &sweep_config(CAP));
+        }
+        let s = GraphSession::open(Arc::new(Database::open(&dir).unwrap()), "g").unwrap();
+        let state = graph_state(std::slice::from_ref(&s));
+        let k = oracle.iter().position(|b| *b == state).unwrap_or_else(|| {
+            panic!("crash at byte {budget} of {total} recovered to a torn state: {state:?}")
+        });
+        landed[k] += 1;
+        resume_program(&s, Arc::new(Sssp::new(0)), &sweep_config(CAP)).unwrap();
+        assert_eq!(graph_state(&[s]), oracle[oracle.len() - 1], "resume from byte {budget}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    assert!(
+        landed[3..].iter().filter(|&&n| n > 0).count() >= 4,
+        "the sweep must land inside several update-arm supersteps: {landed:?}"
+    );
+}
+
+/// The sharded sweep: shard 1 of two loses power at every few bytes of its
+/// durable writes; reopening plus [`repair_if_needed`] must land both shards
+/// on one stamp whose merged state is exactly the uninterrupted run capped
+/// there, and [`resume_sharded`] must finish the run.
+#[test]
+fn torn_update_arm_repairs_to_a_superstep_boundary_on_two_shards() {
+    let oracle = boundaries();
+    let durable_chain = |dir: &PathBuf| {
+        let db = ShardedDatabase::create(dir, 2).unwrap();
+        let ss = ShardedGraphSession::create(db.clone(), "g").unwrap();
+        ss.load_edges(&chain()).unwrap();
+        db.checkpoint().unwrap();
+        ss
+    };
+    let dir = temp_dir("torn2_measure");
+    let total = {
+        let ss = durable_chain(&dir);
+        durable_bytes(ss.db().shard(1), || {
+            run_sharded(&ss, Arc::new(Sssp::new(0)), &sweep_config(CAP)).unwrap();
+        })
+    };
+    std::fs::remove_dir_all(&dir).ok();
+
+    let mut landed = vec![0usize; oracle.len()];
+    for budget in crash_points(total, 211) {
+        let dir = temp_dir("torn2");
+        {
+            let ss = durable_chain(&dir);
+            ss.db().shard(1).catalog().wal_sink().unwrap().set_crash_budget(Some(budget));
+            let _ = run_sharded(&ss, Arc::new(Sssp::new(0)), &sweep_config(CAP));
+        }
+        let ss = ShardedGraphSession::open(ShardedDatabase::open(&dir).unwrap(), "g").unwrap();
+        repair_if_needed(&ss, Arc::new(Sssp::new(0)), &sweep_config(CAP)).unwrap();
+        let state = graph_state(ss.shard_sessions());
+        // A repaired stamp s is the run capped at s + 1 supersteps.
+        let k = state.stamp.map_or(0, |s| (s + 2) as usize);
+        assert_eq!(
+            state, oracle[k],
+            "crash at byte {budget} of {total}: repair missed the boundary"
+        );
+        landed[k] += 1;
+        resume_sharded(&ss, Arc::new(Sssp::new(0)), &sweep_config(CAP)).unwrap();
+        assert_eq!(
+            graph_state(ss.shard_sessions()),
+            oracle[oracle.len() - 1],
+            "resume from byte {budget}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    assert!(
+        landed[3..].iter().filter(|&&n| n > 0).count() >= 4,
+        "the sweep must land inside several update-arm supersteps: {landed:?}"
+    );
 }

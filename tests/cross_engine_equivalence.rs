@@ -210,8 +210,7 @@ where
     let db = Arc::new(Database::open(&dir).expect("open durable"));
     let session = GraphSession::create(db.clone(), "g").expect("create");
     session.load_edges(graph).expect("load");
-    let stats =
-        run_program(&session, program, &VertexicaConfig::default().with_durable(true)).unwrap();
+    let stats = run_program(&session, program, &VertexicaConfig::default()).unwrap();
     assert!(
         stats.per_superstep.iter().any(|s| s.wal_records > 0 && s.wal_bytes > 0),
         "{tag}: durable run must report WAL activity in the superstep gauges"
@@ -499,7 +498,6 @@ where
         let config = VertexicaConfig::default()
             .with_workers(4)
             .with_partitions(16)
-            .with_durable(true)
             .with_memory_budget(budget);
         let stats = run_program(&session, Arc::new(make_program()), &config).unwrap();
         let out = (vertex_table_bits(&session), message_table_bits(&session), stats);
@@ -585,7 +583,7 @@ fn over_budget_pagerank_completes_with_bounded_residency() {
     run_program(
         &ref_session,
         Arc::new(PageRank::new(6, 0.85)),
-        &VertexicaConfig::default().with_durable(true).with_memory_budget(None),
+        &VertexicaConfig::default().with_memory_budget(None),
     )
     .unwrap();
     let ref_vertex = vertex_table_bits(&ref_session);
@@ -601,7 +599,7 @@ fn over_budget_pagerank_completes_with_bounded_residency() {
     let total = db.catalog().buffer_pool().stats().resident_bytes as usize;
     assert!(total > 0, "graph load must leave resident ROS segments");
     let budget = total * 3 / 5;
-    let config = VertexicaConfig::default().with_durable(true).with_memory_budget(Some(budget));
+    let config = VertexicaConfig::default().with_memory_budget(Some(budget));
     let stats = run_program(&session, Arc::new(PageRank::new(6, 0.85)), &config).unwrap();
 
     let evictions: u64 = stats.per_superstep.iter().map(|s| s.evictions).sum();
@@ -750,10 +748,11 @@ fn sharded_message_bits(ss: &ShardedGraphSession) -> Vec<(i64, Option<i64>, Opti
 
 /// Cell config for the shard matrix. The combiner is off on *both* sides
 /// (the sharded coordinator coerces it off — it groups f64 folds by
-/// producing shard) and the replace threshold is pinned to the value the
-/// durable sharded coercion uses, so the 1-shard reference runs the exact
-/// same apply arm. Small stream chunks give the exchange real scatter
-/// granularity, so cross-shard sealing (early dispatch) is observable.
+/// producing shard) and the replace threshold is pinned to 0, so every
+/// shard count runs the replace arm whenever anything changed and the
+/// per-superstep `replaced` flags compare. Small stream chunks give the
+/// exchange real scatter granularity, so cross-shard sealing (early
+/// dispatch) is observable.
 fn shard_cell_config(cap: u64) -> VertexicaConfig {
     VertexicaConfig::default()
         .with_workers(4)
@@ -836,12 +835,7 @@ fn sharded_execution_is_bitwise_identical_for_every_algorithm() {
         }),
     ];
 
-    // The VERTEXICA_SHARDS CI mode widens the matrix to its default count.
-    let mut shard_counts = vec![2usize, 4];
-    let env_default = vertexica::config::shards_default();
-    if env_default > 1 && !shard_counts.contains(&env_default) {
-        shard_counts.push(env_default);
-    }
+    let shard_counts = [2usize, 4];
 
     for (name, cell) in &algorithms {
         let (reference, ref_stats) = cell(1);
@@ -877,31 +871,43 @@ fn sharded_execution_is_bitwise_identical_for_every_algorithm() {
     }
 }
 
-/// Mid-flight resume across shards: a 2-shard run checkpointed every
-/// superstep and capped at 3 supersteps, resumed from the per-shard
-/// checkpoints to completion, must land bitwise-identical to the
-/// uninterrupted 1-shard reference.
+/// Crash and resume across shards: a durable 2-shard run whose shard 1
+/// loses power halfway through its durable writes is reopened and resumed
+/// with [`resume_sharded`] — repair to the common stamp, then continue from
+/// it — and must land bitwise-identical to the uninterrupted 1-shard
+/// reference.
 #[test]
 fn sharded_checkpoint_resume_is_bitwise_identical() {
     let graph =
         rmat_graph(&RmatConfig { scale: 6, num_edges: 400, seed: 29, ..Default::default() });
     let (reference, _) = run_shard_cell(&graph, || PageRank::new(6, 0.85), 1, 10_000);
+    let config = shard_cell_config(10_000);
+    let program = || Arc::new(PageRank::new(6, 0.85));
 
-    let ckpt = unique_durable_dir("shard_ckpt");
-    let ss = sharded_session_for(&graph, 2);
-    run_sharded(
-        &ss,
-        Arc::new(PageRank::new(6, 0.85)),
-        &shard_cell_config(3).with_checkpointing(1, &ckpt),
-    )
-    .unwrap();
-    let resumed = resume_sharded(
-        &ss,
-        Arc::new(PageRank::new(6, 0.85)),
-        &shard_cell_config(10_000).with_checkpointing(1, &ckpt),
-    )
-    .unwrap();
-    assert!(resumed.supersteps > 0, "the capped run must have left supersteps to resume");
+    let dir_a = unique_durable_dir("shard_resume_ref");
+    let run_bytes = {
+        let db = ShardedDatabase::create(&dir_a, 2).expect("create");
+        let ss = ShardedGraphSession::create(db.clone(), "g").expect("create");
+        ss.load_edges(&graph).expect("load");
+        let before = db.shard(1).durability_stats().unwrap();
+        run_sharded(&ss, program(), &config).unwrap();
+        let after = db.shard(1).durability_stats().unwrap();
+        (after.wal_bytes + after.flush_bytes) - (before.wal_bytes + before.flush_bytes)
+    };
+    std::fs::remove_dir_all(&dir_a).ok();
+
+    let dir = unique_durable_dir("shard_resume");
+    {
+        let db = ShardedDatabase::create(&dir, 2).expect("create");
+        let ss = ShardedGraphSession::create(db.clone(), "g").expect("create");
+        ss.load_edges(&graph).expect("load");
+        db.shard(1).catalog().wal_sink().unwrap().set_crash_budget(Some(run_bytes / 2));
+        assert!(run_sharded(&ss, program(), &config).is_err(), "the crash must fire");
+    }
+    let db = ShardedDatabase::open(&dir).expect("recovery");
+    let ss = ShardedGraphSession::open(db.clone(), "g").expect("reopen session");
+    let resumed = resume_sharded(&ss, program(), &config).unwrap();
+    assert!(resumed.supersteps > 0, "the crashed run must have left supersteps to resume");
     assert_eq!(
         sharded_vertex_bits(&ss),
         reference.vertex_bits,
@@ -912,7 +918,33 @@ fn sharded_checkpoint_resume_is_bitwise_identical() {
         reference.message_bits,
         "resumed sharded message table diverged from the 1-shard reference"
     );
-    std::fs::remove_dir_all(&ckpt).ok();
+    drop(ss);
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The update-vs-replace ratio is per shard: each shard divides its own
+/// vertex changes by its own vertex count, so PageRank's dense supersteps
+/// take the replace arm at 8 shards exactly when they do on one database
+/// (dividing by the global count would put every 8-shard superstep on the
+/// in-place update arm).
+#[test]
+fn update_vs_replace_ratio_is_per_shard() {
+    let graph = erdos_renyi(400, 3200, 9);
+    let config = VertexicaConfig::default()
+        .with_workers(2)
+        .with_partitions(8)
+        .with_combiner(false)
+        .with_replace_threshold(0.2);
+    let replaced = |shards: usize| -> Vec<bool> {
+        let ss = ShardedGraphSession::create(ShardedDatabase::new(shards), "g").expect("create");
+        ss.load_edges(&graph).expect("load");
+        let stats = run_sharded(&ss, Arc::new(PageRank::new(6, 0.85)), &config).unwrap();
+        stats.per_superstep.iter().map(|s| s.replaced).collect()
+    };
+    let one = replaced(1);
+    assert!(one.iter().any(|r| *r), "PageRank's dense supersteps must replace: {one:?}");
+    assert_eq!(replaced(8), one, "8 shards must take the same apply arm as one database");
 }
 
 /// Loads `graph` into a sharded session with the edge table split across

@@ -1,5 +1,5 @@
 //! End-to-end scenarios from the paper's demo section: pipelines, hybrid
-//! analysis, dynamic graphs, checkpoint/recovery failure injection, and
+//! analysis, dynamic graphs, crash injection and stamp-based resume, and
 //! running the coordinator as a stored procedure.
 
 use std::sync::Arc;
@@ -8,7 +8,7 @@ use vertexica::coordinator::{register_as_procedure, resume_program};
 use vertexica::pipeline::Pipeline;
 use vertexica::sql::Database;
 use vertexica::storage::Value;
-use vertexica::{checkpoint, run_program, GraphSession, VertexicaConfig};
+use vertexica::{run_program, GraphSession, VertexicaConfig};
 use vertexica_algorithms::sqlalgo;
 use vertexica_algorithms::vc::{PageRank, Sssp};
 use vertexica_common::graph::{Edge, EdgeList, VertexId};
@@ -79,63 +79,95 @@ fn metadata_filters_drive_scoped_analysis() {
     assert_eq!(all as i64, db.query_int("SELECT COUNT(*) FROM scope_edge").unwrap());
 }
 
-#[test]
-fn checkpoint_failure_injection_and_resume() {
-    let db = Arc::new(Database::new());
-    let graph = erdos_renyi(40, 160, 8);
-    let session = GraphSession::create(db.clone(), "ck").unwrap();
-    session.load_edges(&graph).unwrap();
-
-    let dir = std::env::temp_dir().join(format!("vx_e2e_ckpt_{}", std::process::id()));
+fn durable_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("vx_e2e_{tag}_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-
-    // Run with checkpointing every 2 supersteps.
-    let config = VertexicaConfig::default().with_checkpointing(2, &dir).with_max_supersteps(4); // "crash" after superstep 3 (0..=3)
-    let program = Arc::new(PageRank::new(8, 0.85));
-    run_program(&session, program.clone(), &config).unwrap();
-
-    // Simulate the crash: clobber live state entirely.
-    db.execute("DELETE FROM ck_message").unwrap();
-    db.execute("UPDATE ck_vertex SET halted = TRUE").unwrap();
-
-    // Recover and finish.
-    let config = VertexicaConfig::default().with_checkpointing(2, &dir);
-    let stats = resume_program(&session, program, &config).unwrap();
-    assert!(stats.supersteps > 0);
-
-    // The resumed result matches an uninterrupted run exactly.
-    let resumed: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
-    let fresh_session = GraphSession::create(db.clone(), "ck2").unwrap();
-    fresh_session.load_edges(&graph).unwrap();
-    run_program(&fresh_session, Arc::new(PageRank::new(8, 0.85)), &VertexicaConfig::default())
-        .unwrap();
-    let fresh: Vec<(VertexId, f64)> = fresh_session.vertex_values().unwrap();
-    for ((id_a, a), (id_b, b)) in resumed.iter().zip(&fresh) {
-        assert_eq!(id_a, id_b);
-        assert!((a - b).abs() < 1e-12, "vertex {id_a}: {a} vs {b}");
-    }
-    std::fs::remove_dir_all(&dir).ok();
+    dir
 }
 
+/// A durable database holding `graph`, loaded and checkpointed.
+fn durable_session(dir: &std::path::Path, name: &str, graph: &EdgeList) -> GraphSession {
+    let db = Arc::new(Database::open(dir).unwrap());
+    let session = GraphSession::create(db.clone(), name).unwrap();
+    session.load_edges(graph).unwrap();
+    db.checkpoint().unwrap();
+    session
+}
+
+/// Every vertex value, bit for bit.
+fn value_bits(session: &GraphSession) -> Vec<(VertexId, u64)> {
+    let values: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
+    values.into_iter().map(|(id, v)| (id, v.to_bits())).collect()
+}
+
+/// Crash injection + resume: a durable PageRank run loses power halfway
+/// through its durable writes; the reopened database resumes from its
+/// superstep stamp and finishes bitwise-identical to an uninterrupted run.
+#[test]
+fn checkpoint_failure_injection_and_resume() {
+    let graph = erdos_renyi(40, 160, 8);
+    let program = Arc::new(PageRank::new(8, 0.85));
+    let config = VertexicaConfig::default();
+
+    let fresh_dir = durable_dir("fresh");
+    let fresh_session = durable_session(&fresh_dir, "ck", &graph);
+    let before = fresh_session.db().durability_stats().unwrap();
+    run_program(&fresh_session, program.clone(), &config).unwrap();
+    let after = fresh_session.db().durability_stats().unwrap();
+    let fresh = value_bits(&fresh_session);
+    let run_bytes = (after.wal_bytes + after.flush_bytes) - (before.wal_bytes + before.flush_bytes);
+
+    let dir = durable_dir("ck");
+    {
+        let session = durable_session(&dir, "ck", &graph);
+        let sink = session.db().catalog().wal_sink().unwrap();
+        sink.set_crash_budget(Some(run_bytes / 2));
+        assert!(run_program(&session, program.clone(), &config).is_err(), "the crash must fire");
+    }
+
+    // Recover and finish.
+    let db = Arc::new(Database::open(&dir).unwrap());
+    let session = GraphSession::open(db, "ck").unwrap();
+    let stamp = session.stamp().unwrap().expect("the crash hit after initialization");
+    assert!(stamp.superstep >= 0, "half the run's bytes commit at least superstep 0");
+    let stats = resume_program(&session, program, &config).unwrap();
+    assert!(stats.supersteps > 0);
+    assert_eq!(value_bits(&session), fresh, "the resumed run must match the uninterrupted one");
+    drop(session);
+    drop(fresh_session);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&fresh_dir).ok();
+}
+
+/// PageRank's dangling aggregator must survive a stop and resume or ranks
+/// drift: the stamp carries the stopped superstep's raw per-vertex partials,
+/// and resume folds them into the next superstep's input aggregate.
 #[test]
 fn checkpoint_preserves_aggregator_state() {
-    // PageRank's dangling aggregator must survive a checkpoint/restore or
-    // ranks drift — this guards the aggregate persistence path.
-    let db = Arc::new(Database::new());
     // Chain with a sink so the dangling aggregator is non-trivial.
     let graph = EdgeList::from_pairs([(0, 1), (1, 2), (2, 3)]);
-    let session = GraphSession::create(db.clone(), "agg").unwrap();
-    session.load_edges(&graph).unwrap();
-    let dir = std::env::temp_dir().join(format!("vx_e2e_agg_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-
     let program = Arc::new(PageRank::new(6, 0.85));
-    let config = VertexicaConfig::default().with_checkpointing(1, &dir).with_max_supersteps(3);
-    run_program(&session, program.clone(), &config).unwrap();
-    let config = VertexicaConfig::default().with_checkpointing(1, &dir);
-    resume_program(&session, program, &config).unwrap();
-    let resumed: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
+    let config = VertexicaConfig::default();
 
+    let fresh_dir = durable_dir("agg_fresh");
+    let fresh_session = durable_session(&fresh_dir, "agg", &graph);
+    run_program(&fresh_session, program.clone(), &config).unwrap();
+    let fresh = value_bits(&fresh_session);
+
+    let dir = durable_dir("agg");
+    {
+        let session = durable_session(&dir, "agg", &graph);
+        run_program(&session, program.clone(), &config.clone().with_max_supersteps(3)).unwrap();
+        let stamp = session.stamp().unwrap().unwrap();
+        assert_eq!(stamp.superstep, 2);
+        assert!(!stamp.partials.is_empty(), "the sink's dangling partial must be stamped");
+    }
+    let db = Arc::new(Database::open(&dir).unwrap());
+    let session = GraphSession::open(db, "agg").unwrap();
+    resume_program(&session, program, &config).unwrap();
+    assert_eq!(value_bits(&session), fresh, "the resumed run must match the uninterrupted one");
+
+    let resumed: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
     let expected = vertexica_algorithms::reference::pagerank(&graph, 6, 0.85);
     for (id, rank) in resumed {
         assert!(
@@ -144,7 +176,10 @@ fn checkpoint_preserves_aggregator_state() {
             expected[id as usize]
         );
     }
+    drop(session);
+    drop(fresh_session);
     std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&fresh_dir).ok();
 }
 
 #[test]
@@ -158,26 +193,4 @@ fn stored_procedure_deployment() {
     assert!(matches!(out, Value::Int(n) if n > 0));
     let dist: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
     assert_eq!(dist[0], (0, 0.0));
-}
-
-#[test]
-fn checkpoint_save_restore_api() {
-    let db = Arc::new(Database::new());
-    let session = GraphSession::create(db.clone(), "ckapi").unwrap();
-    session.load_edges(&erdos_renyi(20, 60, 1)).unwrap();
-    run_program(&session, Arc::new(PageRank::new(3, 0.85)), &VertexicaConfig::default()).unwrap();
-    let before: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
-
-    let dir = std::env::temp_dir().join(format!("vx_e2e_api_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    checkpoint::save(&session, &dir, 3, &Default::default()).unwrap();
-
-    db.execute("DELETE FROM ckapi_vertex WHERE id < 10").unwrap();
-    assert_eq!(session.num_vertices().unwrap(), 10);
-
-    let state = checkpoint::restore(&session, &dir).unwrap();
-    assert_eq!(state.superstep, 3);
-    let after: Vec<(VertexId, f64)> = session.vertex_values().unwrap();
-    assert_eq!(before, after);
-    std::fs::remove_dir_all(&dir).ok();
 }

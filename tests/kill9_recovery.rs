@@ -38,8 +38,8 @@ const GRAPH_NAME: &str = "kill9";
 
 /// Never halts: every superstep, every vertex stamps the superstep number
 /// into its value and messages all neighbors, so every superstep replaces
-/// the full vertex table (replace_threshold 0 forces the atomic grouped
-/// commit path) with a uniformly-stamped generation.
+/// the full vertex table with a uniformly-stamped generation in one grouped
+/// commit.
 struct SuperstepStamp;
 
 impl VertexProgram for SuperstepStamp {
@@ -83,7 +83,6 @@ fn crash_child_worker() {
         .with_workers(2)
         .with_partitions(4)
         .with_replace_threshold(0.0)
-        .with_durable(true)
         .with_max_supersteps(u64::MAX);
     // Never returns (the program never halts); the parent kills us.
     run_program(&session, Arc::new(SuperstepStamp), &config).expect("child: run");
