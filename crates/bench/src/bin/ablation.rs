@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p vertexica-bench --release --bin ablation -- \
-//!     [--exp union-vs-join|worker-scaling|batching|update-vs-replace|pool-size|expr|wal|evict|shard|all]
+//!     [--exp union-vs-join|worker-scaling|batching|update-vs-replace|expr|wal|evict|shard|all]
 //! ```
 
 use std::sync::Arc;
@@ -74,57 +74,6 @@ fn main() {
             println!("partitions={partitions:<6} {:.3}s", sw.elapsed_secs());
         }
         println!();
-    }
-
-    if exp == "pool-size" || exp == "all" {
-        println!("## Shared runtime: pool-size sweep on one persistent session");
-        println!("# Unlike worker-scaling, each session (and its Database pool) is");
-        println!("# created once per dataset and resized in place between runs,");
-        println!("# isolating the runtime's scaling from graph-reload cost.");
-        println!("# The micro (1k-vertex) dataset is deliberately included as the");
-        println!("# flat baseline; the larger generator scales are where parallel");
-        println!("# scaling regressions become visible. Queue-wait / steal counts");
-        println!("# come from the per-superstep runtime metrics.");
-        // Sweep the Figure-2 generators at increasing scale multipliers.
-        // `VERTEXICA_POOL_SWEEP_MULTS` overrides the multiplier list.
-        let mults: Vec<f64> = std::env::var("VERTEXICA_POOL_SWEEP_MULTS")
-            .map(|s| s.split(',').filter_map(|v| v.trim().parse().ok()).collect())
-            .unwrap_or_else(|_| vec![1.0, 4.0, 16.0]);
-        for mult in mults {
-            let scaled = vertexica_graphgen::dataset("twitter", cfg.scale * mult, cfg.seed)
-                .expect("twitter profile");
-            println!(
-                "### twitter ×{mult}: {} nodes, {} edges",
-                scaled.num_vertices,
-                scaled.num_edges()
-            );
-            let session = fresh_session(&scaled);
-            let mut baseline = None;
-            for pool_size in [1usize, 2, 4, 8, 16] {
-                // run_program resizes the session's shared pool to num_workers.
-                let config = VertexicaConfig::default().with_workers(pool_size);
-                let sw = Stopwatch::start();
-                let stats =
-                    run_program(&session, Arc::new(PageRank::new(5, 0.85)), &config).unwrap();
-                let secs = sw.elapsed_secs();
-                let speedup = baseline.get_or_insert(secs).max(1e-12) / secs.max(1e-12);
-                let queue_wait: f64 = stats.per_superstep.iter().map(|s| s.queue_wait_secs).sum();
-                let steals: u64 = stats.per_superstep.iter().map(|s| s.steals).sum();
-                let overlap: f64 = stats.per_superstep.iter().map(|s| s.overlap_secs).sum();
-                let peak =
-                    stats.per_superstep.iter().map(|s| s.peak_batch_bytes).max().unwrap_or(0);
-                let apply: f64 = stats.per_superstep.iter().map(|s| s.apply_secs).sum();
-                let apply_par =
-                    stats.per_superstep.iter().map(|s| s.apply_parallelism).max().unwrap_or(1);
-                println!(
-                    "pool={pool_size:<3} {secs:.3}s  speedup×{speedup:<5.2} \
-                     apply={apply:.3}s(×{apply_par}) \
-                     overlap={overlap:.3}s queue-wait={queue_wait:.3}s steals={steals} \
-                     peak-batch={peak}B"
-                );
-            }
-            println!();
-        }
     }
 
     if exp == "expr" || exp == "all" {

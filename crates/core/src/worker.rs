@@ -156,10 +156,6 @@ impl<P: VertexProgram> VertexWorker<P> {
 }
 
 impl<P: VertexProgram> TransformUdf for VertexWorker<P> {
-    fn name(&self) -> &str {
-        "vertex_worker"
-    }
-
     fn output_schema(&self, _input: &Schema) -> SqlResult<Arc<Schema>> {
         Ok(worker_output_schema())
     }

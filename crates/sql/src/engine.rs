@@ -7,7 +7,7 @@ use vertexica_common::sync::{AtomicBool, AtomicUsize, Condvar, Mutex, Ordering, 
 
 use vertexica_common::runtime::{Scope, WorkerPool};
 use vertexica_storage::{
-    partition::{hash_partition, split_batch, StreamingPartitioner},
+    partition::{split_batch, StreamingPartitioner},
     Catalog, ColumnPredicate, Field, RecordBatch, Row, Schema, TableOptions, Value,
 };
 
@@ -65,7 +65,6 @@ pub type Procedure = Arc<dyn Fn(&Database, &[Value]) -> SqlResult<Value> + Send 
 pub struct Database {
     catalog: Arc<Catalog>,
     functions: RwLock<FunctionRegistry>,
-    transforms: RwLock<HashMap<String, Arc<dyn TransformUdf>>>,
     procedures: RwLock<HashMap<String, Procedure>>,
     /// The shared parallel runtime (default size: cores). One persistent
     /// pool serves every transform-UDF invocation and the coordinator's
@@ -94,7 +93,6 @@ impl Database {
         Database {
             catalog,
             functions: RwLock::new(FunctionRegistry::new()),
-            transforms: RwLock::new(HashMap::new()),
             procedures: RwLock::new(HashMap::new()),
             runtime,
         }
@@ -161,11 +159,6 @@ impl Database {
     /// Registers a scalar SQL function.
     pub fn register_scalar(&self, f: ScalarFunction) {
         self.functions.write().register(f);
-    }
-
-    /// Registers a transform UDF (Vertica UDx equivalent).
-    pub fn register_transform(&self, udf: Arc<dyn TransformUdf>) {
-        self.transforms.write().insert(udf.name().to_ascii_lowercase(), udf);
     }
 
     /// Registers a stored procedure.
@@ -472,117 +465,6 @@ impl Database {
         Ok(QueryResult::Affected(n))
     }
 
-    /// Runs a registered transform UDF over input batches, hash-partitioned on
-    /// `partition_by` into `num_partitions`, with worker-thread parallelism —
-    /// the paper's worker invocation (§2.2–§2.3: parallel workers + vertex
-    /// batching).
-    ///
-    /// Output batches preserve partition order.
-    pub fn run_transform(
-        &self,
-        name: &str,
-        input: Vec<RecordBatch>,
-        partition_by: &[usize],
-        num_partitions: usize,
-    ) -> SqlResult<Vec<RecordBatch>> {
-        let udf = self
-            .transforms
-            .read()
-            .get(&name.to_ascii_lowercase())
-            .cloned()
-            .ok_or_else(|| SqlError::Udf(format!("no such transform: {name}")))?;
-
-        let partitions = if num_partitions <= 1 || partition_by.is_empty() {
-            vec![input]
-        } else {
-            hash_partition(&input, partition_by, num_partitions)?
-        };
-        self.run_transform_partitions(&udf, partitions)
-    }
-
-    /// Runs a transform over pre-partitioned input on the shared runtime
-    /// pool, streaming each partition's output to `sink` **as soon as that
-    /// partition finishes** instead of collecting everything first. Each
-    /// partition is one pool task (serial within a partition, parallel
-    /// across partitions — the paper's vertex batching); the per-worker
-    /// deques load-balance uneven partitions by stealing. This is the
-    /// engine's streaming execution primitive for pre-partitioned input:
-    /// SQL `TRANSFORM` runs through
-    /// [`run_transform_partitions`](Self::run_transform_partitions), a thin
-    /// order-restoring wrapper over it.
-    ///
-    /// `sink` is called once per non-empty partition with
-    /// `(partition_index, output_batches)`, from whichever worker thread
-    /// finished the partition (so it must be `Sync`; calls may interleave
-    /// across partitions but each partition is delivered exactly once).
-    /// Completion order is not deterministic. The first error — from the UDF
-    /// or from the sink — is returned; partitions not yet started are then
-    /// skipped and in-flight ones have their sink deliveries suppressed.
-    /// With one worker
-    /// (or one non-empty partition) execution falls back to sequential
-    /// inline runs on the calling thread.
-    pub fn run_transform_streamed(
-        &self,
-        udf: &Arc<dyn TransformUdf>,
-        partitions: Vec<Vec<RecordBatch>>,
-        sink: &(dyn Fn(usize, Vec<RecordBatch>) -> SqlResult<()> + Sync),
-    ) -> SqlResult<()> {
-        let work: Vec<(usize, Vec<RecordBatch>)> =
-            partitions.into_iter().enumerate().filter(|(_, p)| !p.is_empty()).collect();
-        if work.len() <= 1 || self.runtime.size() <= 1 {
-            for (idx, p) in work {
-                sink(idx, udf.execute(p)?)?;
-            }
-            return Ok(());
-        }
-        let failure: Mutex<Option<SqlError>> = Mutex::new(None);
-        self.runtime.scope(|scope| {
-            for (idx, p) in work {
-                let failure = &failure;
-                scope.spawn(move || {
-                    if failure.lock().is_some() {
-                        return; // an earlier partition already failed: skip the work
-                    }
-                    let result = udf.execute(p).and_then(|out| {
-                        if failure.lock().is_some() {
-                            return Ok(()); // a failure landed while we computed
-                        }
-                        sink(idx, out)
-                    });
-                    if let Err(e) = result {
-                        let mut slot = failure.lock();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                    }
-                });
-            }
-        });
-        match failure.into_inner() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Runs a transform over pre-partitioned input on the shared runtime
-    /// pool, collecting every partition's output. Output preserves partition
-    /// order. Built on [`run_transform_streamed`](Self::run_transform_streamed);
-    /// prefer that entry point when outputs can be consumed incrementally.
-    pub fn run_transform_partitions(
-        &self,
-        udf: &Arc<dyn TransformUdf>,
-        partitions: Vec<Vec<RecordBatch>>,
-    ) -> SqlResult<Vec<RecordBatch>> {
-        let collected: Mutex<Vec<(usize, Vec<RecordBatch>)>> = Mutex::new(Vec::new());
-        self.run_transform_streamed(udf, partitions, &|idx, out| {
-            collected.lock().push((idx, out));
-            Ok(())
-        })?;
-        let mut collected = collected.into_inner();
-        collected.sort_by_key(|(idx, _)| *idx);
-        Ok(collected.into_iter().flat_map(|(_, out)| out).collect())
-    }
-
     /// Fully pipelined transform execution: overlaps input production,
     /// partition scatter and per-partition compute on the shared pool.
     ///
@@ -600,11 +482,10 @@ impl Database {
     /// a plan (`expected_rows = None`, e.g. the sharded crash-repair replay) are
     /// dispatched when production and scattering have both finished.
     ///
-    /// `sink` has the same contract as in
-    /// [`run_transform_streamed`](Self::run_transform_streamed): called once
-    /// per non-empty partition from whichever worker finished it, in
-    /// nondeterministic order; the first error (producer, scatter, UDF or
-    /// sink) wins and suppresses all later work. On a single-worker pool the
+    /// `sink` is called once per non-empty partition with
+    /// `(partition_index, output_batches)`, from whichever worker finished
+    /// it (so it must be `Sync`), in nondeterministic order; the first error
+    /// (producer, scatter, UDF or sink) wins and suppresses all later work. On a single-worker pool the
     /// whole dataflow degenerates to the sequential scatter-then-compute
     /// order (no overlap, trivially equivalent).
     ///
@@ -804,14 +685,14 @@ impl Database {
     /// options and catalog handle).
     ///
     /// This is the write-side sibling of
-    /// [`run_transform_streamed`](Self::run_transform_streamed): where that
+    /// [`run_transform_pipelined`](Self::run_transform_pipelined): where that
     /// primitive fans partition *reads/compute* out over the pool, this one
     /// fans the *table rebuild* out. The expensive work per segment —
     /// column coercion, zone maps, optional compression — happens off-table
-    /// on pool workers; the commit is a single
-    /// [`Catalog::replace_contents`] under one table write lock, so readers
-    /// see either the complete old or the complete new table, never a torn
-    /// mixture. Batches map to segments in input order; empty batches are
+    /// on pool workers; the commit is one
+    /// [`commit_tables_segmented`](Self::commit_tables_segmented) group under
+    /// one table write lock, so readers see either the complete old or the
+    /// complete new table, never a torn mixture. Batches map to segments in input order; empty batches are
     /// dropped. Returns the number of rows in the new contents.
     ///
     /// Nothing is committed unless **every** segment builds successfully:
@@ -819,7 +700,7 @@ impl Database {
     /// contents untouched.
     ///
     /// Split into [`encode_segments_for`](Self::encode_segments_for) +
-    /// [`commit_table_segments`](Self::commit_table_segments) for callers
+    /// [`commit_tables_segmented`](Self::commit_tables_segmented) for callers
     /// that must build segments for *several* tables before publishing any
     /// of them (the parallel apply path's cross-table commit protocol).
     pub fn replace_table_segmented(
@@ -828,7 +709,7 @@ impl Database {
         segment_batches: Vec<RecordBatch>,
     ) -> SqlResult<usize> {
         let segments = self.encode_segments_for(table, segment_batches)?;
-        self.commit_table_segments(table, segments)
+        self.commit_tables_segmented(vec![(table.to_string(), segments)], Vec::new())
     }
 
     /// The encode half of [`replace_table_segmented`](Self::replace_table_segmented):
@@ -855,37 +736,14 @@ impl Database {
         Ok(segments)
     }
 
-    /// The commit half of [`replace_table_segmented`](Self::replace_table_segmented):
-    /// atomically replaces `table`'s contents with the pre-built segments
-    /// under one write lock. The only failure modes are shape mismatches
-    /// against the live schema — encoding already happened.
-    pub fn commit_table_segments(
-        &self,
-        table: &str,
-        segments: Vec<vertexica_storage::Segment>,
-    ) -> SqlResult<usize> {
-        let table_ref = self.catalog.get(table)?;
-        let (name, schema, options) = {
-            let guard = table_ref.read();
-            (guard.name().to_string(), guard.schema().clone(), guard.options().clone())
-        };
-        let mut fresh = vertexica_storage::Table::new(name, schema, options);
-        let mut rows = 0usize;
-        for seg in segments {
-            rows += seg.num_rows();
-            fresh.adopt_segment(seg)?;
-        }
-        self.catalog.replace_contents(table, fresh)?;
-        Ok(rows)
-    }
-
-    /// Multi-table variant of [`commit_table_segments`](Self::commit_table_segments):
-    /// publishes **all** the pre-built per-table contents, plus the in-place
-    /// `(rowid, row)` updates of `updates`, in one atomic catalog commit
-    /// ([`Catalog::replace_contents_many`]). On a durable database the whole
-    /// group rides a single WAL commit record, so recovery lands on either
-    /// the complete old or the complete new superstep state — never a torn
-    /// mixture. Returns the total row count across the new contents.
+    /// The commit half of [`replace_table_segmented`](Self::replace_table_segmented),
+    /// for any number of tables: publishes **all** the pre-built per-table
+    /// contents, plus the in-place `(rowid, row)` updates of `updates`, in
+    /// one atomic catalog commit ([`Catalog::replace_contents_many`]). On a
+    /// durable database the whole group rides a single WAL commit record, so
+    /// recovery lands on either the complete old or the complete new
+    /// superstep state — never a torn mixture. Returns the total row count
+    /// across the new contents.
     pub fn commit_tables_segmented(
         &self,
         groups: Vec<(String, Vec<vertexica_storage::Segment>)>,
@@ -1176,6 +1034,7 @@ fn pipe_finish_assemble<'scope, 'env>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vertexica_storage::partition::hash_partition;
     use vertexica_storage::DataType;
 
     fn db_with_edges() -> Database {
@@ -1559,10 +1418,6 @@ mod tests {
     }
 
     impl crate::udf::TransformUdf for Tagger {
-        fn name(&self) -> &str {
-            "tagger"
-        }
-
         fn output_schema(
             &self,
             input: &vertexica_storage::Schema,
@@ -1586,40 +1441,16 @@ mod tests {
         vec![RecordBatch::from_rows(schema, &rows).unwrap()]
     }
 
-    fn first_values(batches: &[RecordBatch]) -> Vec<i64> {
-        batches
-            .iter()
-            .map(|b| match b.column(0).value(0) {
-                Value::Int(v) => v,
-                other => panic!("expected int, got {other}"),
-            })
-            .collect()
-    }
-
-    #[test]
-    fn run_transform_partitions_preserves_partition_order() {
-        let db = Database::new();
-        db.set_worker_threads(4);
-        // Reverse-staggered delays: later partitions finish first unless the
-        // engine restores partition order.
-        let partitions: Vec<Vec<RecordBatch>> =
-            (0..12).map(|i| int_partition(&[i as i64])).collect();
-        let udf: Arc<dyn TransformUdf> = Tagger::new(2);
-        let out = db.run_transform_partitions(&udf, partitions).unwrap();
-        assert_eq!(first_values(&out), (0..12).collect::<Vec<i64>>());
-    }
-
     #[test]
     fn worker_threads_one_is_sequential_and_equivalent() {
-        let partitions: Vec<Vec<RecordBatch>> =
-            (0..8).map(|i| int_partition(&[i as i64, i as i64 + 100])).collect();
+        let chunks = int_chunks(&(0..8).map(|i| vec![i, i + 100]).collect::<Vec<_>>());
 
         let db = Database::new();
         db.set_worker_threads(1);
         assert_eq!(db.worker_threads(), 1);
         let seq_udf = Tagger::new(0);
         let seq: Arc<dyn TransformUdf> = seq_udf.clone();
-        let out_seq = db.run_transform_partitions(&seq, partitions.clone()).unwrap();
+        let (_, out_seq) = run_pipelined(&db, &seq, chunks.clone(), 8, None).unwrap();
         // Sequential fallback runs inline on the calling thread.
         let seq_threads = seq_udf.threads.lock().clone();
         assert_eq!(seq_threads.len(), 1);
@@ -1627,8 +1458,8 @@ mod tests {
 
         db.set_worker_threads(8);
         let par: Arc<dyn TransformUdf> = Tagger::new(1);
-        let out_par = db.run_transform_partitions(&par, partitions).unwrap();
-        assert_eq!(first_values(&out_seq), first_values(&out_par));
+        let (_, out_par) = run_pipelined(&db, &par, chunks, 8, None).unwrap();
+        assert_eq!(out_seq, out_par);
     }
 
     #[test]
@@ -1641,9 +1472,8 @@ mod tests {
         let udf_impl = Tagger::new(1);
         let udf: Arc<dyn TransformUdf> = udf_impl.clone();
         for _ in 0..5 {
-            let partitions: Vec<Vec<RecordBatch>> =
-                (0..9).map(|i| int_partition(&[i as i64])).collect();
-            db.run_transform_partitions(&udf, partitions).unwrap();
+            let chunks = int_chunks(&(0..9).map(|i| vec![i]).collect::<Vec<_>>());
+            run_pipelined(&db, &udf, chunks, 9, None).unwrap();
         }
         let distinct = udf_impl.threads.lock().len();
         assert!(
@@ -1651,40 +1481,6 @@ mod tests {
             "5 invocations × 9 partitions ran on {distinct} distinct threads; \
              a persistent pool of 3 must not spawn per call"
         );
-    }
-
-    #[test]
-    fn streamed_sink_sees_every_partition_exactly_once() {
-        let db = Database::new();
-        db.set_worker_threads(4);
-        let partitions: Vec<Vec<RecordBatch>> =
-            (0..10).map(|i| int_partition(&[i as i64])).collect();
-        let udf: Arc<dyn TransformUdf> = Tagger::new(1);
-        let seen = Mutex::new(Vec::new());
-        db.run_transform_streamed(&udf, partitions, &|idx, out| {
-            seen.lock().push((idx, first_values(&out)));
-            Ok(())
-        })
-        .unwrap();
-        let mut seen = seen.into_inner();
-        seen.sort();
-        let expected: Vec<(usize, Vec<i64>)> = (0..10).map(|i| (i, vec![i as i64])).collect();
-        assert_eq!(seen, expected);
-    }
-
-    #[test]
-    fn streamed_sink_error_propagates() {
-        let db = Database::new();
-        db.set_worker_threads(4);
-        let partitions: Vec<Vec<RecordBatch>> =
-            (0..6).map(|i| int_partition(&[i as i64])).collect();
-        let udf: Arc<dyn TransformUdf> = Tagger::new(0);
-        let err = db
-            .run_transform_streamed(&udf, partitions, &|_, _| {
-                Err(SqlError::Udf("sink rejects".into()))
-            })
-            .unwrap_err();
-        assert!(err.to_string().contains("sink rejects"));
     }
 
     /// One single-column int chunk per element of `chunks`.
@@ -1872,9 +1668,6 @@ mod tests {
     fn pipelined_udf_and_sink_errors_propagate() {
         struct Failing;
         impl crate::udf::TransformUdf for Failing {
-            fn name(&self) -> &str {
-                "failing"
-            }
             fn output_schema(
                 &self,
                 input: &vertexica_storage::Schema,
@@ -1975,23 +1768,30 @@ mod tests {
     #[test]
     fn skewed_partition_map_triggers_work_stealing() {
         // One giant slow partition plus many light ones, on a pool smaller
-        // than the partition count: with per-worker deques the light
-        // partitions pile up behind the slow worker's deque and must be
-        // stolen by its idle siblings.
+        // than the partition count. The single chunk's scatter task seals
+        // every partition at once and spawns all 16 compute tasks onto its
+        // own worker's deque, so its idle sibling can only get work by
+        // stealing.
+        let parts = 16;
+        let mut per_part: Vec<Vec<i64>> = vec![Vec::new(); parts];
+        let mut k = 0i64;
+        while per_part[0].len() < 512 || per_part.iter().any(Vec::is_empty) {
+            let p = vertexica_storage::partition::int_key_partition(k, parts);
+            if per_part[p].is_empty() || (p == 0 && per_part[0].len() < 512) {
+                per_part[p].push(k);
+            }
+            k += 1;
+        }
+        let chunks = int_chunks(&[per_part.concat()]);
+        let plan = chunk_plan(&chunks, parts);
         let db = Database::new();
         db.set_worker_threads(2);
         let before = db.runtime().metrics();
-        let mut partitions: Vec<Vec<RecordBatch>> =
-            vec![int_partition(&(0..512).collect::<Vec<_>>())];
-        partitions.extend((1..16).map(|i| int_partition(&[i as i64])));
 
         struct SlowFirst {
             inner: Arc<Tagger>,
         }
         impl crate::udf::TransformUdf for SlowFirst {
-            fn name(&self) -> &str {
-                "slow_first"
-            }
             fn output_schema(
                 &self,
                 input: &vertexica_storage::Schema,
@@ -1999,53 +1799,25 @@ mod tests {
                 self.inner.output_schema(input)
             }
             fn execute(&self, p: Vec<RecordBatch>) -> SqlResult<Vec<RecordBatch>> {
-                if p[0].num_rows() > 1 {
+                if p.iter().map(RecordBatch::num_rows).sum::<usize>() > 1 {
                     std::thread::sleep(std::time::Duration::from_millis(50));
                 }
                 self.inner.execute(p)
             }
         }
-        let slow: Arc<dyn TransformUdf> = Arc::new(SlowFirst { inner: Tagger::new(0) });
-        let out = db.run_transform_partitions(&slow, partitions).unwrap();
-        assert_eq!(out.len(), 16);
+        let slow: Arc<dyn TransformUdf> = Arc::new(SlowFirst { inner: Tagger::new(1) });
+        let (_, seen) = run_pipelined(&db, &slow, chunks, parts, Some(plan)).unwrap();
+        assert_eq!(seen.len(), parts);
         let delta = db.runtime().metrics().delta_since(&before);
-        assert_eq!(delta.tasks_executed, 16);
+        // One scatter task plus one compute task per partition.
+        assert_eq!(delta.tasks_executed, 1 + parts as u64);
         assert!(delta.tasks_stolen > 0, "skewed partitions should force steals: {delta:?}");
-    }
-
-    #[test]
-    fn transform_errors_propagate_without_panicking() {
-        struct Failing;
-        impl crate::udf::TransformUdf for Failing {
-            fn name(&self) -> &str {
-                "failing"
-            }
-            fn output_schema(
-                &self,
-                input: &vertexica_storage::Schema,
-            ) -> SqlResult<Arc<vertexica_storage::Schema>> {
-                Ok(Arc::new(input.clone()))
-            }
-            fn execute(&self, _p: Vec<RecordBatch>) -> SqlResult<Vec<RecordBatch>> {
-                Err(SqlError::Udf("deliberate failure".into()))
-            }
-        }
-        let db = Database::new();
-        db.set_worker_threads(4);
-        let udf: Arc<dyn TransformUdf> = Arc::new(Failing);
-        let partitions: Vec<Vec<RecordBatch>> =
-            (0..6).map(|i| int_partition(&[i as i64])).collect();
-        let err = db.run_transform_partitions(&udf, partitions).unwrap_err();
-        assert!(err.to_string().contains("deliberate failure"));
     }
 
     #[test]
     fn transform_panic_propagates_to_caller() {
         struct Panicking;
         impl crate::udf::TransformUdf for Panicking {
-            fn name(&self) -> &str {
-                "panicking"
-            }
             fn output_schema(
                 &self,
                 input: &vertexica_storage::Schema,
@@ -2059,16 +1831,15 @@ mod tests {
         let db = Database::new();
         db.set_worker_threads(4);
         let udf: Arc<dyn TransformUdf> = Arc::new(Panicking);
-        let partitions: Vec<Vec<RecordBatch>> =
-            (0..4).map(|i| int_partition(&[i as i64])).collect();
+        let chunks = int_chunks(&(0..4).map(|i| vec![i]).collect::<Vec<_>>());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            db.run_transform_partitions(&udf, partitions)
+            run_pipelined(&db, &udf, chunks, 4, None)
         }));
         assert!(result.is_err(), "worker panic must reach the submitting thread");
         // The database (and its pool) stays usable afterwards.
         let ok: Arc<dyn TransformUdf> = Tagger::new(0);
-        let out = db.run_transform_partitions(&ok, vec![int_partition(&[7])]).unwrap();
-        assert_eq!(first_values(&out), vec![7]);
+        let (_, seen) = run_pipelined(&db, &ok, int_chunks(&[vec![7]]), 4, None).unwrap();
+        assert_eq!(seen.into_iter().flat_map(|(_, v)| v).collect::<Vec<_>>(), vec![7]);
     }
 
     #[test]

@@ -18,9 +18,6 @@ use crate::error::SqlResult;
 /// per partition, on a pool of worker threads (the paper: "as many parallel
 /// workers as the number of cores").
 pub trait TransformUdf: Send + Sync {
-    /// Registered name.
-    fn name(&self) -> &str;
-
     /// Output schema for a given input schema.
     fn output_schema(&self, input: &Schema) -> SqlResult<Arc<Schema>>;
 
@@ -37,10 +34,6 @@ mod tests {
     struct Doubler;
 
     impl TransformUdf for Doubler {
-        fn name(&self) -> &str {
-            "doubler"
-        }
-
         fn output_schema(&self, _input: &Schema) -> SqlResult<Arc<Schema>> {
             Ok(Schema::new(vec![Field::new("doubled", DataType::Int)]))
         }

@@ -1,10 +1,13 @@
 //! The named-table catalog.
 //!
 //! Thread-safe: the catalog map and each table are behind seam (`vertexica_common::sync`)
-//! RwLocks, so the coordinator can swap tables while workers are reading
-//! others. The atomic [`Catalog::swap`] is the primitive behind Vertexica's
-//! *replace* strategy (§2.3): build `vertex_new` via a left join, then swap it
-//! with `vertex` and drop the old one.
+//! RwLocks, so the coordinator can replace tables while workers are reading
+//! others. [`Catalog::replace_contents_many`] is the primitive behind
+//! Vertexica's *replace* strategy (§2.3): rebuild a table's contents off to
+//! the side, then install them — for a whole superstep's tables at once —
+//! under the existing handles. Every change to a table's whole contents,
+//! [`Catalog::swap`] included, commits through it on a durable catalog; the
+//! catalog's only other logged operations are create and drop.
 
 use std::sync::Arc;
 
@@ -24,9 +27,10 @@ pub type TableRef = Arc<RwLock<Table>>;
 /// A catalog of named tables.
 ///
 /// With a durability sink attached (`Catalog::attach_wal`, done by
-/// [`crate::wal::open_durable`]), every DDL operation is WAL-logged before it
-/// applies, every table the catalog hands out logs its own mutations, and
-/// [`Catalog::replace_contents_many`] runs the durable commit protocol.
+/// [`crate::wal::open_durable`]), create and drop are WAL-logged before they
+/// apply, every table the catalog hands out logs its own mutations, and
+/// [`Catalog::replace_contents_many`] and [`Catalog::swap`] run the durable
+/// commit protocol.
 #[derive(Default)]
 pub struct Catalog {
     tables: RwLock<FxHashMap<String, TableRef>>,
@@ -103,20 +107,18 @@ impl Catalog {
         Ok(table)
     }
 
-    /// Registers an existing table object under its name.
-    pub fn register(&self, table: Table) -> StorageResult<TableRef> {
+    /// Registers an existing table object under its name, unlogged: only
+    /// recovery calls this, before the durability sink is attached, to load
+    /// tables whose images are already on disk.
+    pub(crate) fn register(&self, table: Table) -> StorageResult<TableRef> {
         let key = normalize(table.name());
         let mut tables = self.tables.write();
         if tables.contains_key(&key) {
             return Err(StorageError::DuplicateTable(key));
         }
-        let wal = self.wal.read().clone();
         let mut table = table;
         table.set_name(key.clone());
-        if let Some(w) = &wal {
-            w.log_register_table(&key, &persist::table_to_bytes_physical(&table)?)?;
-        }
-        table.set_wal(wal);
+        table.set_wal(self.wal.read().clone());
         table.set_pool(Some(self.pool.clone()));
         let table = Arc::new(RwLock::new(table));
         tables.insert(key, table.clone());
@@ -164,48 +166,45 @@ impl Catalog {
         Ok(true)
     }
 
-    /// Renames a table.
-    pub fn rename(&self, from: &str, to: &str) -> StorageResult<()> {
-        let from_key = normalize(from);
-        let to_key = normalize(to);
-        let mut tables = self.tables.write();
-        if tables.contains_key(&to_key) {
-            return Err(StorageError::DuplicateTable(to.to_string()));
-        }
-        if !tables.contains_key(&from_key) {
-            return Err(StorageError::NoSuchTable(from.to_string()));
-        }
-        if let Some(w) = self.wal.read().as_ref() {
-            w.log_rename(&from_key, &to_key)?;
-        }
-        // vxlint: allow(no-unwrap-recovery) -- infallible: contains_key(from_key) verified above under the same write lock
-        let t = tables.remove(&from_key).expect("checked above");
-        t.write().set_name(to_key.clone());
-        tables.insert(to_key, t);
-        Ok(())
-    }
-
     /// Atomically exchanges the contents of two named tables (both keep their
     /// names, their data/handles swap).
+    ///
+    /// On a durable catalog the swap replaces both tables' whole contents, so
+    /// it commits like [`Catalog::replace_contents_many`]: both post-swap
+    /// images go to fresh segment files under **one** WAL `Commit` record,
+    /// which moves both tables' recovery watermarks past every record logged
+    /// against their old contents. If the commit fails, both tables are left
+    /// exactly as they were.
     pub fn swap(&self, a: &str, b: &str) -> StorageResult<()> {
         let a_key = normalize(a);
         let b_key = normalize(b);
         let mut tables = self.tables.write();
-        if !tables.contains_key(&a_key) {
-            return Err(StorageError::NoSuchTable(a.to_string()));
+        let ta = tables.get(&a_key).cloned().ok_or_else(|| StorageError::NoSuchTable(a.into()))?;
+        let tb = tables.get(&b_key).cloned().ok_or_else(|| StorageError::NoSuchTable(b.into()))?;
+        if a_key == b_key {
+            return Ok(());
         }
-        if !tables.contains_key(&b_key) {
-            return Err(StorageError::NoSuchTable(b.to_string()));
+        if let Some(w) = self.wal.read().clone() {
+            // Write locks in name order (as `replace_contents_many` takes
+            // them), held across commit and install.
+            let (mut ga, mut gb) = if a_key < b_key {
+                let ga = ta.write();
+                (ga, tb.write())
+            } else {
+                let gb = tb.write();
+                (ta.write(), gb)
+            };
+            ga.set_name(b_key.clone());
+            gb.set_name(a_key.clone());
+            if let Err(e) = commit_images(&w, [&*gb, &*ga]) {
+                ga.set_name(a_key);
+                gb.set_name(b_key);
+                return Err(e);
+            }
+        } else {
+            ta.write().set_name(b_key.clone());
+            tb.write().set_name(a_key.clone());
         }
-        if let Some(w) = self.wal.read().as_ref() {
-            w.log_swap(&a_key, &b_key)?;
-        }
-        // vxlint: allow(no-unwrap-recovery) -- infallible: contains_key(a_key) verified above under the same write lock
-        let ta = tables.remove(&a_key).unwrap();
-        // vxlint: allow(no-unwrap-recovery) -- infallible: contains_key(b_key) verified above under the same write lock
-        let tb = tables.remove(&b_key).unwrap();
-        ta.write().set_name(b_key.clone());
-        tb.write().set_name(a_key.clone());
         tables.insert(a_key, tb);
         tables.insert(b_key, ta);
         Ok(())
@@ -379,6 +378,23 @@ impl Catalog {
     }
 }
 
+/// Writes each table's physical image to a fresh segment file under one WAL
+/// `Commit` record, then points the table's segments at their new disk twins.
+fn commit_images(wal: &WalSink, tables: [&Table; 2]) -> StorageResult<()> {
+    let mut entries = Vec::with_capacity(tables.len());
+    let mut spans = Vec::with_capacity(tables.len());
+    for t in tables {
+        let (bytes, sp) = persist::table_to_bytes_physical_indexed(t)?;
+        entries.push((t.name().to_string(), bytes));
+        spans.push(sp);
+    }
+    let files = wal.commit_replace(&entries, &[])?;
+    for ((t, (_, file)), sp) in tables.iter().zip(&files).zip(&spans) {
+        t.assign_spill_addrs(file, sp)?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,26 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn rename_moves_table() {
-        let cat = Catalog::new();
-        let t = cat.create_table("old", schema(), TableOptions::default()).unwrap();
-        t.write().insert_row(vec![Value::Int(1)]).unwrap();
-        cat.rename("old", "new").unwrap();
-        assert!(!cat.contains("old"));
-        let t2 = cat.get("new").unwrap();
-        assert_eq!(t2.read().num_rows(), 1);
-        assert_eq!(t2.read().name(), "new");
-    }
-
-    #[test]
-    fn rename_to_existing_rejected() {
-        let cat = Catalog::new();
-        cat.create_table("a", schema(), TableOptions::default()).unwrap();
-        cat.create_table("b", schema(), TableOptions::default()).unwrap();
-        assert!(cat.rename("a", "b").is_err());
-    }
-
-    #[test]
     fn swap_exchanges_contents() {
         let cat = Catalog::new();
         let a = cat.create_table("a", schema(), TableOptions::default()).unwrap();
@@ -441,6 +437,9 @@ mod tests {
         assert_eq!(cat.get("a").unwrap().read().num_rows(), 2);
         assert_eq!(cat.get("b").unwrap().read().num_rows(), 1);
         assert_eq!(cat.get("a").unwrap().read().name(), "a");
+        // Swapping a table with itself is a no-op.
+        cat.swap("a", "A").unwrap();
+        assert_eq!(cat.get("a").unwrap().read().num_rows(), 2);
     }
 
     #[test]

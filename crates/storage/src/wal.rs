@@ -5,21 +5,25 @@
 //! recovery chief among them (§1). This module is that layer:
 //!
 //! * **WAL** — every table mutation (WOS appends, segment adoptions, deletes,
-//!   updates, truncates, moveouts) and every catalog DDL is appended to an
-//!   append-only, length-prefixed, CRC32-checksummed log *before* the
-//!   in-memory mutation is acknowledged. Each record carries a global
-//!   monotonically increasing sequence number.
+//!   updates, truncates, moveouts) and every table create and drop is
+//!   appended to an append-only, length-prefixed, CRC32-checksummed log
+//!   *before* the in-memory mutation is acknowledged. Each record carries a
+//!   global monotonically increasing sequence number.
 //! * **Segment flushing** — tables are flushed to `t<N>.vxtb` files in the
 //!   physical `VXTB2` format ([`crate::persist::table_to_bytes_physical`]),
 //!   which preserves the exact WOS/segment/zone-map/delete-vector layout, so
 //!   a recovered table is **bitwise identical** under re-serialization.
-//! * **Commit marker** — the superstep apply path replaces whole tables and
-//!   updates rows in place via
-//!   [`crate::catalog::Catalog::replace_contents_many`]. Its commit protocol
-//!   writes the fresh tables' physical bytes to files, then appends **one**
-//!   `Commit` record naming all `(table, file)` pairs and carrying the
-//!   in-place `(rowid, row)` updates inline: the single-frame append is the
-//!   atomic commit point covering every table in the group.
+//! * **Commit marker** — every change to a table's whole contents commits
+//!   through one record type: the superstep apply path replaces whole tables
+//!   and updates rows in place via
+//!   [`crate::catalog::Catalog::replace_contents_many`], and
+//!   [`crate::catalog::Catalog::swap`] replaces two tables' contents with
+//!   each other's. The commit protocol writes the fresh tables' physical
+//!   bytes to files, then appends **one** `Commit` record naming all
+//!   `(table, file)` pairs and carrying any in-place `(rowid, row)` updates
+//!   inline: the single-frame append is the atomic commit point covering
+//!   every table in the group, and it moves each replaced table's watermark
+//!   past every record logged against the old contents.
 //! * **Checkpoint / truncate cycle** — a checkpoint flushes every table,
 //!   writes a `MANIFEST` (tmp + rename, CRC-trailed) recording per-table
 //!   `(file, watermark)` pairs plus the log's sequence floor, and — when no
@@ -29,7 +33,8 @@
 //! * **Recovery** — [`open_durable`] loads the manifest's table files, then
 //!   replays WAL records in sequence order, applying a record only if its
 //!   seq is at or past the owning table's watermark (DDL gates on the
-//!   manifest's global floor). A torn final frame — the signature of a crash
+//!   manifest's global floor; records of a table dropped before that floor
+//!   are skipped). A torn final frame — the signature of a crash
 //!   mid-append — is discarded; a *complete* frame with a bad checksum or
 //!   tag is [`StorageError::Corrupt`].
 //!
@@ -183,16 +188,13 @@ const TAG_MOVEOUT: u8 = 6;
 const TAG_MERGEOUT: u8 = 7;
 const TAG_CREATE_TABLE: u8 = 8;
 const TAG_DROP_TABLE: u8 = 9;
-const TAG_RENAME_TABLE: u8 = 10;
-const TAG_SWAP_TABLES: u8 = 11;
-const TAG_REGISTER_TABLE: u8 = 12;
+// Tags 10-12 are unassigned: they decode as corruption.
 const TAG_COMMIT: u8 = 13;
 
 /// A decoded WAL record. Data records name the table they mutate; DDL
-/// records mutate the catalog; `Commit` is the superstep-apply marker naming
-/// every `(table, segment file)` pair swapped by one
-/// [`Catalog::replace_contents_many`] call, plus the in-place row updates of
-/// the same call.
+/// records create and drop tables; `Commit` names every `(table, segment
+/// file)` pair installed by one [`Catalog::replace_contents_many`] or
+/// [`Catalog::swap`] call, plus the in-place row updates of the same call.
 #[derive(Debug)]
 pub enum WalRecord {
     InsertRows { table: String, rows: Vec<Row> },
@@ -204,9 +206,6 @@ pub enum WalRecord {
     Mergeout { table: String },
     CreateTable { name: String, schema: Arc<Schema>, options: TableOptions },
     DropTable { name: String },
-    RenameTable { from: String, to: String },
-    SwapTables { a: String, b: String },
-    RegisterTable { physical: Vec<u8> },
     Commit { tables: Vec<(String, String)>, updates: Vec<(String, Vec<(u64, Row)>)> },
 }
 
@@ -295,26 +294,6 @@ fn payload_drop_table(name: &str) -> Vec<u8> {
     tagged(TAG_DROP_TABLE, name)
 }
 
-fn payload_rename_table(from: &str, to: &str) -> Vec<u8> {
-    let mut buf = tagged(TAG_RENAME_TABLE, from);
-    persist::put_str(&mut buf, to);
-    buf
-}
-
-fn payload_swap_tables(a: &str, b: &str) -> Vec<u8> {
-    let mut buf = tagged(TAG_SWAP_TABLES, a);
-    persist::put_str(&mut buf, b);
-    buf
-}
-
-fn payload_register_table(physical: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(5 + physical.len());
-    buf.put_u8(TAG_REGISTER_TABLE);
-    buf.put_u32_le(physical.len() as u32);
-    buf.extend_from_slice(physical);
-    buf
-}
-
 fn payload_commit(tables: &[(String, String)], updates: &[(String, &[(u64, Row)])]) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.put_u8(TAG_COMMIT);
@@ -388,28 +367,6 @@ pub fn decode_record(payload: &[u8]) -> StorageResult<(u64, WalRecord)> {
             WalRecord::CreateTable { name, schema, options }
         }
         TAG_DROP_TABLE => WalRecord::DropTable { name: persist::get_str(buf)? },
-        TAG_RENAME_TABLE => {
-            let from = persist::get_str(buf)?;
-            let to = persist::get_str(buf)?;
-            WalRecord::RenameTable { from, to }
-        }
-        TAG_SWAP_TABLES => {
-            let a = persist::get_str(buf)?;
-            let b = persist::get_str(buf)?;
-            WalRecord::SwapTables { a, b }
-        }
-        TAG_REGISTER_TABLE => {
-            if buf.len() < 4 {
-                return Err(StorageError::Corrupt("truncated register length".into()));
-            }
-            let len = buf.get_u32_le() as usize;
-            if buf.len() < len {
-                return Err(StorageError::Corrupt("truncated register body".into()));
-            }
-            let physical = buf[..len].to_vec();
-            buf.advance(len);
-            WalRecord::RegisterTable { physical }
-        }
         TAG_COMMIT => {
             if buf.len() < 4 {
                 return Err(StorageError::Corrupt("truncated commit count".into()));
@@ -748,40 +705,10 @@ impl WalSink {
         Ok(())
     }
 
-    pub(crate) fn log_register_table(&self, name: &str, physical: &[u8]) -> StorageResult<()> {
-        let mut st = self.state.lock();
-        st.append_record(&payload_register_table(physical))?;
-        st.metas.insert(name.to_string(), TableMeta { file: None, watermark: 0, dirty: true });
-        Ok(())
-    }
-
     pub(crate) fn log_drop_table(&self, name: &str) -> StorageResult<()> {
         let mut st = self.state.lock();
         st.append_record(&payload_drop_table(name))?;
         st.metas.remove(name);
-        Ok(())
-    }
-
-    pub(crate) fn log_rename(&self, from: &str, to: &str) -> StorageResult<()> {
-        let mut st = self.state.lock();
-        st.append_record(&payload_rename_table(from, to))?;
-        if let Some(meta) = st.metas.remove(from) {
-            st.metas.insert(to.to_string(), meta);
-        }
-        Ok(())
-    }
-
-    pub(crate) fn log_swap(&self, a: &str, b: &str) -> StorageResult<()> {
-        let mut st = self.state.lock();
-        st.append_record(&payload_swap_tables(a, b))?;
-        let ma = st.metas.remove(a);
-        let mb = st.metas.remove(b);
-        if let Some(m) = mb {
-            st.metas.insert(a.to_string(), m);
-        }
-        if let Some(m) = ma {
-            st.metas.insert(b.to_string(), m);
-        }
         Ok(())
     }
 
@@ -1040,8 +967,11 @@ pub fn open_durable(dir: impl AsRef<Path>, sync: bool) -> StorageResult<Arc<Cata
     // Replay committed records past each table's watermark.
     let records = read_wal_records(&dir.join(&wal_name))?;
     let mut last_seq: Option<u64> = None;
+    // `metas` holds exactly the tables the replay has so far: the manifest's
+    // plus those created since its floor. A record naming any other table
+    // belongs to one dropped before the floor, and is skipped.
     let watermark_of = |metas: &BTreeMap<String, TableMeta>, table: &str| -> u64 {
-        metas.get(table).map_or(0, |m| m.watermark)
+        metas.get(table).map_or(u64::MAX, |m| m.watermark)
     };
     for (seq, record) in records {
         last_seq = Some(seq);
@@ -1097,47 +1027,12 @@ pub fn open_durable(dir: impl AsRef<Path>, sync: bool) -> StorageResult<Arc<Cata
                     metas.remove(&name);
                 }
             }
-            WalRecord::RenameTable { from, to } => {
-                if seq >= floor {
-                    catalog.rename(&from, &to)?;
-                    if let Some(m) = metas.remove(&from) {
-                        metas.insert(to, m);
-                    }
-                }
-            }
-            WalRecord::SwapTables { a, b } => {
-                if seq >= floor {
-                    catalog.swap(&a, &b)?;
-                    let ma = metas.remove(&a);
-                    let mb = metas.remove(&b);
-                    if let Some(m) = mb {
-                        metas.insert(a, m);
-                    }
-                    if let Some(m) = ma {
-                        metas.insert(b, m);
-                    }
-                }
-            }
-            WalRecord::RegisterTable { physical } => {
-                if seq >= floor {
-                    let table = persist::table_from_bytes_physical(&physical)?;
-                    let name = table.name().to_string();
-                    catalog.register(table)?;
-                    metas.insert(name, TableMeta::default());
-                }
-            }
             WalRecord::Commit { tables, updates } => {
                 for (table, file) in tables {
                     if seq >= watermark_of(&metas, &table) {
                         let bytes = std::fs::read(dir.join(&file))?;
-                        let (mut fresh, spans) =
-                            persist::table_from_bytes_physical_indexed(&bytes)?;
-                        if catalog.contains(&table) {
-                            catalog.replace_contents(&table, fresh)?;
-                        } else {
-                            fresh.set_name(table.clone());
-                            catalog.register(fresh)?;
-                        }
+                        let (fresh, spans) = persist::table_from_bytes_physical_indexed(&bytes)?;
+                        catalog.replace_contents(&table, fresh)?;
                         catalog.get(&table)?.read().assign_spill_addrs(&file, &spans)?;
                         metas.insert(
                             table,
@@ -1331,10 +1226,15 @@ mod tests {
 
     #[test]
     fn record_codec_rejects_bad_tag_and_truncation() {
-        let mut payload = Vec::new();
-        payload.put_u64_le(1);
-        payload.put_u8(200);
-        assert!(matches!(decode_record(&payload), Err(StorageError::Corrupt(_))));
+        // 10-12 are unassigned tags inside the used range; 200 is past it.
+        for tag in [10u8, 11, 12, 200] {
+            let mut payload = Vec::new();
+            payload.put_u64_le(1);
+            payload.put_u8(tag);
+            persist::put_str(&mut payload, "t");
+            persist::put_str(&mut payload, "u");
+            assert!(matches!(decode_record(&payload), Err(StorageError::Corrupt(_))), "tag {tag}");
+        }
 
         let rows = vec![vec![Value::Int(1), Value::Float(0.5)]];
         let mut payload = Vec::new();
@@ -1422,9 +1322,61 @@ mod tests {
             catalog.create_table("a", schema(), TableOptions::default()).unwrap();
             catalog.create_table("b", schema(), TableOptions::default()).unwrap();
             catalog.get("a").unwrap().write().insert_row(vec![Value::Int(1), Value::Null]).unwrap();
-            catalog.rename("a", "c").unwrap();
-            catalog.swap("b", "c").unwrap();
-            catalog.drop_table_if_exists("b").unwrap();
+            catalog.swap("a", "b").unwrap();
+            catalog.drop_table_if_exists("a").unwrap();
+            catalog_image(&catalog)
+        };
+        let reopened = open_durable(&dir, false).unwrap();
+        assert_eq!(catalog_image(&reopened), image);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_swap_leaves_both_tables_as_they_were() {
+        let dir = temp_dir("swapfail");
+        let catalog = open_durable(&dir, false).unwrap();
+        catalog.create_table("a", schema(), TableOptions::default()).unwrap();
+        catalog.create_table("b", schema(), TableOptions::default()).unwrap();
+        catalog.get("a").unwrap().write().insert_row(vec![Value::Int(1), Value::Null]).unwrap();
+        let before = catalog_image(&catalog);
+        catalog.wal_sink().unwrap().set_crash_budget(Some(0));
+        assert!(catalog.swap("a", "b").is_err());
+        // Images carry the table names, so a half-undone rename shows here.
+        assert_eq!(catalog_image(&catalog), before);
+        drop(catalog);
+        assert_eq!(catalog_image(&open_durable(&dir, false).unwrap()), before);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A commit publishes a manifest without rotating the log while another
+    /// table has live records, so the log can still hold records of a table
+    /// the manifest no longer lists (dropped before its floor). Replay must
+    /// skip them: neither fail on the missing table nor resurrect it.
+    #[test]
+    fn records_of_a_table_dropped_before_the_floor_are_skipped() {
+        let dir = temp_dir("dropped");
+        let image = {
+            let catalog = open_durable(&dir, false).unwrap();
+            catalog.create_table("keep", schema(), TableOptions::default()).unwrap();
+            catalog.create_table("other", schema(), TableOptions::default()).unwrap();
+            catalog.checkpoint().unwrap();
+            // `keep` stays dirty, so no commit below can rotate the log.
+            catalog
+                .get("keep")
+                .unwrap()
+                .write()
+                .insert_row(vec![Value::Int(1), Value::Null])
+                .unwrap();
+            let gone = catalog.create_table("gone", schema(), TableOptions::default()).unwrap();
+            gone.write().insert_row(vec![Value::Int(2), Value::Null]).unwrap();
+            let mut fresh = Table::new("gone", schema(), TableOptions::default());
+            fresh.insert_row(vec![Value::Int(3), Value::Null]).unwrap();
+            catalog.replace_contents("gone", fresh).unwrap();
+            drop(gone);
+            catalog.drop_table("gone").unwrap();
+            let mut fresh = Table::new("other", schema(), TableOptions::default());
+            fresh.insert_row(vec![Value::Int(4), Value::Null]).unwrap();
+            catalog.replace_contents("other", fresh).unwrap();
             catalog_image(&catalog)
         };
         let reopened = open_durable(&dir, false).unwrap();

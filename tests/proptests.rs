@@ -250,12 +250,11 @@ proptest! {
         cuts.push(keys.len());
         cuts.sort_unstable();
         cuts.dedup();
-        let mut staging = Table::new("t_new", schema.clone(), TableOptions::default());
+        let staging = catalog.create_table("t_new", schema.clone(), TableOptions::default()).unwrap();
         for w in cuts.windows(2) {
             let seg = Segment::build(&schema, &to_batch(&keys[w[0]..w[1]]), false).unwrap();
-            staging.adopt_segment(seg).unwrap();
+            staging.write().adopt_segment(seg).unwrap();
         }
-        catalog.register(staging).unwrap();
         catalog.swap("t", "t_new").unwrap();
         catalog.drop_table("t_new").unwrap();
 
